@@ -47,11 +47,10 @@ def operator_meet(s: MatrixOperator, t: MatrixOperator) -> MatrixOperator:
     Equal to (s + t - |s - t|) / 2, so acting on any vector it matches the
     averaged vector formula as well.
     """
-    s._require_same_space(t)
-    return MatrixOperator(s.space, tuple(
-        tuple(min(a, b) for a, b in zip(ra, rb))
-        for ra, rb in zip(s.entries, t.entries)
-    ))
+    num_s, num_t, den = s._aligned(t)
+    return MatrixOperator._from_numerators(
+        s.space, tuple(tuple(map(min, ra, rb)) for ra, rb in zip(num_s, num_t)), den
+    )
 
 
 @dataclass(frozen=True)
@@ -97,20 +96,23 @@ def is_lattice_homomorphism(z: MatrixOperator) -> LatticeHomCertificate:
     per row. When that fails, a concrete pair of vectors witnessing
     Z(x v y) != Zx v Zy is produced and verified exactly.
     """
+    # The common denominator is positive, so each numerator carries the
+    # sign of its entry.
+    num = z.num
     n = z.space.n
     for j in range(n):
-        if any(z.entries[i][j] < 0 for i in range(n)):
+        if any(num[i][j] < 0 for i in range(n)):
             # A negative entry in column j breaks Z(x v 0) = Zx v 0 at x = e_j.
             pair = (z.space.basis_vector(j), z.space.zero_vector())
             return LatticeHomCertificate(z, False, None, pair)
     for i in range(n):
-        support = [j for j in range(n) if z.entries[i][j] != 0]
+        support = [j for j in range(n) if num[i][j] != 0]
         if len(support) > 1:
             j1, j2 = support[0], support[1]
             pair = (z.space.basis_vector(j1), z.space.basis_vector(j2))
             return LatticeHomCertificate(z, False, None, pair)
     counts = tuple(
-        sum(1 for q in row if q != 0) for row in z.entries
+        sum(1 for p in row if p != 0) for row in num
     )
     return LatticeHomCertificate(z, True, counts, None)
 

@@ -358,8 +358,16 @@ def _cmd_sweep(args) -> int:
         f"({result.skipped} premise-skipped, seeds {seed0}..{seed0 + result.seeds_consumed - 1})"
     )
     for failure in result.failures:
-        path = _dump_failure(result.kind, failure, args.out)
-        print(f"FAILURE seed {failure.seed}: {failure.description}; replay bundle: {path}")
+        line = f"FAILURE seed {failure.seed}: {failure.description}"
+        # An unwritable replay bundle must not mask the FALSIFIED exit code.
+        try:
+            path = _dump_failure(result.kind, failure, args.out)
+        except OSError as exc:
+            print(line)
+            print(f"error: replay bundle for seed {failure.seed} could not be written: {exc}",
+                  file=sys.stderr)
+        else:
+            print(f"{line}; replay bundle: {path}")
     return EXIT_VERIFIED if result.ok else EXIT_FALSIFIED
 
 

@@ -6,15 +6,25 @@ precision rationals), so strict verdicts such as ``norm < 1`` are decided
 with no rounding anywhere. The single floating-point entry point is
 :func:`lp_operator_norm`, a documented numeric approximation for p > 1.
 
+A :class:`MatrixOperator` stores an integer numerator matrix over one
+positive common denominator, reduced to lowest terms by a single gcd per
+operation. Products, sums, comparisons and the L1 norm run on those
+integers; the ``Fraction`` rows of ``entries`` are built lazily, only when
+a caller such as the bundle writer or ``repr`` asks for them.
+
 Operators follow the column-action convention: column ``j`` of the matrix
 is the image of the ``j``-th coordinate basis vector.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 __all__ = [
@@ -96,6 +106,13 @@ class MeasureSpace:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def _integer_weights(self) -> tuple[int, ...]:
+        """The weights times the lcm of their denominators: integers with
+        the same ratios as the weights."""
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     def zero_vector(self) -> L1Vector:
         return L1Vector(self, (Fraction(0),) * self.n)
@@ -184,38 +201,103 @@ class L1Vector:
         return f"L1Vector({', '.join(str(c) for c in self.coords)})"
 
 
-@dataclass(frozen=True)
+# Writes the slots of an immutable MatrixOperator while it is being built.
+_set = object.__setattr__
+
+Numerators = tuple[tuple[int, ...], ...]
+
+
 class MatrixOperator:
     """An exact rational matrix acting on vectors of its measure space.
 
     Column ``j`` is the image of the ``j``-th coordinate basis vector, so
     ``apply`` is the ordinary matrix-vector product.
+
+    The matrix is stored as integer numerators ``num`` over one positive
+    common denominator ``den``, kept canonical (``gcd(den, *num) == 1``) so
+    that equality and hashing compare ``(space, num, den)`` directly. Every
+    operation works on the integers and reduces its result with a single
+    gcd. ``entries``, the matrix as rows of reduced ``Fraction``s, is built
+    on first access only.
     """
 
+    __slots__ = ("space", "num", "den", "_entries")
+
     space: MeasureSpace
-    entries: tuple[tuple[Fraction, ...], ...]
+    num: Numerators
+    den: int
+
+    def __init__(self, space: MeasureSpace, entries: tuple[tuple[RationalLike, ...], ...]) -> None:
+        _set(self, "space", space)
+        _set(self, "_entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(rat(q) for q in row) for row in self.entries)
+        rows = tuple(tuple(rat(q) for q in row) for row in self._entries)
         n = self.space.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"operator on a {n}-point space must be {n}x{n}")
-        object.__setattr__(self, "entries", rows)
+        # The lcm of reduced denominators is already canonical: a prime
+        # dividing it divides some entry's denominator to the full power,
+        # and that entry's scaled numerator is then prime to it.
+        den = math.lcm(*(q.denominator for row in rows for q in row))
+        _set(self, "num", tuple(
+            tuple(q.numerator * (den // q.denominator) for q in row) for row in rows
+        ))
+        _set(self, "den", den)
+        _set(self, "_entries", rows)
+
+    @classmethod
+    def _from_numerators(cls, space: MeasureSpace, num: Numerators, den: int) -> MatrixOperator:
+        """The operator ``num / den`` for ``den > 0``, reduced by one gcd."""
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(p // g for p in row) for row in num)
+            den //= g
+        op = object.__new__(cls)
+        _set(op, "space", space)
+        _set(op, "num", num)
+        _set(op, "den", den)
+        _set(op, "_entries", None)
+        return op
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable operator")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable operator")
+
+    def __reduce__(self):
+        return (MatrixOperator._from_numerators, (self.space, self.num, self.den))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as rows of reduced Fractions, built on first access."""
+        if self._entries is None:
+            den = self.den
+            _set(self, "_entries", tuple(tuple(Fraction(p, den) for p in row) for row in self.num))
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num and self.space == other.space
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.num, self.den))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, space: MeasureSpace) -> MatrixOperator:
         n = space.n
-        return cls(space, tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        ))
+        num = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls._from_numerators(space, num, 1)
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> MatrixOperator:
         n = space.n
-        return cls(space, ((Fraction(0),) * n,) * n)
+        return cls._from_numerators(space, ((0,) * n,) * n, 1)
 
     @classmethod
     def diagonal(cls, space: MeasureSpace, diag: tuple[RationalLike, ...]) -> MatrixOperator:
@@ -233,16 +315,25 @@ class MatrixOperator:
         n = space.n
         if sorted(perm) != list(range(n)):
             raise ValueError(f"{perm!r} is not a permutation of 0..{n - 1}")
-        return cls(space, tuple(
-            tuple(Fraction(1) if perm[j] == i else Fraction(0) for j in range(n))
-            for i in range(n)
-        ))
+        return cls._from_numerators(space, tuple(
+            tuple(int(perm[j] == i) for j in range(n)) for i in range(n)
+        ), 1)
 
     # -- plumbing ----------------------------------------------------------
 
     def _require_same_space(self, other: MatrixOperator | L1Vector) -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("operands live on different measure spaces")
+
+    def _aligned(self, other: MatrixOperator) -> tuple[Numerators, Numerators, int]:
+        """Numerators of ``self`` and ``other`` over their least common
+        denominator, returned as ``(num_self, num_other, lcm)``."""
+        self._require_same_space(other)
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        g = math.gcd(da, db)
+        return _scaled(self.num, db // g), _scaled(other.num, da // g), da // g * db
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
@@ -253,25 +344,26 @@ class MatrixOperator:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MatrixOperator) -> MatrixOperator:
-        self._require_same_space(other)
-        return MatrixOperator(self.space, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        na, nb, den = self._aligned(other)
+        return MatrixOperator._from_numerators(
+            self.space, tuple(tuple(map(operator.add, ra, rb)) for ra, rb in zip(na, nb)), den
+        )
 
     def __sub__(self, other: MatrixOperator) -> MatrixOperator:
-        self._require_same_space(other)
-        return MatrixOperator(self.space, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        na, nb, den = self._aligned(other)
+        return MatrixOperator._from_numerators(
+            self.space, tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(na, nb)), den
+        )
 
     def __neg__(self) -> MatrixOperator:
-        return MatrixOperator(self.space, tuple(tuple(-q for q in row) for row in self.entries))
+        num = tuple(tuple(-p for p in row) for row in self.num)
+        return MatrixOperator._from_numerators(self.space, num, self.den)
 
     def __mul__(self, scalar: Fraction | int) -> MatrixOperator:
         c = rat(scalar)
-        return MatrixOperator(self.space, tuple(tuple(c * q for q in row) for row in self.entries))
+        return MatrixOperator._from_numerators(
+            self.space, _scaled(self.num, c.numerator), self.den * c.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -282,29 +374,26 @@ class MatrixOperator:
         return self * (Fraction(1) / c)
 
     def __abs__(self) -> MatrixOperator:
-        return MatrixOperator(self.space, tuple(tuple(abs(q) for q in row) for row in self.entries))
+        num = tuple(tuple(map(abs, row)) for row in self.num)
+        return MatrixOperator._from_numerators(self.space, num, self.den)
 
     def apply(self, x: L1Vector) -> L1Vector:
         self._require_same_space(x)
-        coords = tuple(
-            sum((a * c for a, c in zip(row, x.coords)), Fraction(0))
-            for row in self.entries
-        )
+        scale = math.lcm(*(c.denominator for c in x.coords))
+        xs = [c.numerator * (scale // c.denominator) for c in x.coords]
+        den = self.den * scale
+        coords = tuple(Fraction(sum(map(operator.mul, row, xs)), den) for row in self.num)
         return L1Vector(self.space, coords)
 
     def compose(self, other: MatrixOperator) -> MatrixOperator:
         """Product self . other, i.e. apply ``other`` first."""
         self._require_same_space(other)
-        n = self.space.n
-        cols = [other.column(j) for j in range(n)]
-        rows = tuple(
-            tuple(
-                sum((a * b for a, b in zip(row, cols[j])), Fraction(0))
-                for j in range(n)
-            )
-            for row in self.entries
+        cols = tuple(zip(*other.num))
+        num = tuple(
+            tuple(sum(map(operator.mul, row, col)) for col in cols)
+            for row in self.num
         )
-        return MatrixOperator(self.space, rows)
+        return MatrixOperator._from_numerators(self.space, num, self.den * other.den)
 
     def __matmul__(self, other: MatrixOperator | L1Vector):
         if isinstance(other, L1Vector):
@@ -330,22 +419,23 @@ class MatrixOperator:
     def hadamard(self, other: MatrixOperator) -> MatrixOperator:
         """Entrywise product."""
         self._require_same_space(other)
-        return MatrixOperator(self.space, tuple(
-            tuple(a * b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return MatrixOperator._from_numerators(
+            self.space,
+            tuple(tuple(map(operator.mul, ra, rb)) for ra, rb in zip(self.num, other.num)),
+            self.den * other.den,
+        )
 
     # -- order and norm ----------------------------------------------------
 
     def is_positive(self) -> bool:
         """True iff every entry is >= 0; equivalent to mapping the
         nonnegative cone into itself."""
-        return all(q >= 0 for row in self.entries for q in row)
+        return all(p >= 0 for row in self.num for p in row)
 
     def dominates(self, other: MatrixOperator) -> bool:
         """True iff ``self - other`` is a positive operator."""
-        self._require_same_space(other)
-        return (self - other).is_positive()
+        na, nb, _ = self._aligned(other)
+        return all(a >= b for ra, rb in zip(na, nb) for a, b in zip(ra, rb))
 
     def commutes_with(self, other: MatrixOperator) -> bool:
         self._require_same_space(other)
@@ -357,14 +447,17 @@ class MatrixOperator:
         The unit ball's extreme points are the signed scaled basis vectors,
         so the supremum of ``|Ax| / |x|`` is the largest weighted column sum
         relative to its own weight, and the maximum is attained at one of
-        those vertices.
+        those vertices. With integer weights ``w`` proportional to the
+        measure, column ``j`` gives ``sum_i w_i |num_ij| / (w_j * den)``;
+        the columns are compared by cross-multiplication.
         """
-        mu = self.space.weights
-        best = Fraction(0)
-        for j in range(self.space.n):
-            col = sum((mu[i] * abs(self.entries[i][j]) for i in range(self.space.n)), Fraction(0))
-            best = max(best, col / mu[j])
-        return best
+        w = self.space._integer_weights
+        best_sum, best_weight = 0, 1
+        for w_j, col in zip(w, zip(*self.num)):
+            col_sum = sum(map(operator.mul, w, map(abs, col)))
+            if col_sum * best_weight > best_sum * w_j:
+                best_sum, best_weight = col_sum, w_j
+        return Fraction(best_sum, best_weight * self.den)
 
     def is_contraction(self) -> bool:
         return self.norm() <= 1
@@ -375,25 +468,29 @@ class MatrixOperator:
         Entry (j, i) is ``mu_i * A_ij / mu_j``; its largest absolute row sum
         reproduces the L1 norm of ``self`` exactly.
         """
-        mu = self.space.weights
-        n = self.space.n
-        return MatrixOperator(self.space, tuple(
-            tuple(mu[i] * self.entries[i][j] / mu[j] for i in range(n))
-            for j in range(n)
-        ))
+        w = self.space._integer_weights
+        scale = math.lcm(*w)
+        num = tuple(
+            tuple(w_i * row[j] * (scale // w_j) for w_i, row in zip(w, self.num))
+            for j, w_j in enumerate(w)
+        )
+        return MatrixOperator._from_numerators(self.space, num, self.den * scale)
 
     def max_abs_row_sum(self) -> Fraction:
         """Exact induced sup-norm of the matrix (largest absolute row sum)."""
-        return max(
-            sum((abs(q) for q in row), Fraction(0))
-            for row in self.entries
-        )
+        return Fraction(max(sum(map(abs, row)) for row in self.num), self.den)
 
     def __repr__(self) -> str:
         body = "; ".join(
             ", ".join(str(q) for q in row) for row in self.entries
         )
         return f"MatrixOperator[{body}]"
+
+
+def _scaled(num: Numerators, factor: int) -> Numerators:
+    if factor == 1:
+        return num
+    return tuple(tuple(p * factor for p in row) for row in num)
 
 
 # -- operation-style wrappers ----------------------------------------------

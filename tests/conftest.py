@@ -3,18 +3,30 @@
 The oracles deliberately avoid the code paths they validate: norms are
 bounded by sampling exact unit-sphere points, the operator modulus is
 recomputed from its defining supremum over sign patterns, and
-sup-preservation is re-decided behaviorally on vertex pairs.
+sup-preservation is re-decided behaviorally on vertex pairs. The ``ref_*``
+functions are a per-entry ``Fraction`` reference for the integer kernel of
+``MatrixOperator``.
+
+Hypothesis runs under the ``tier1`` profile: examples are derived from each
+test's source rather than a random seed, so every run checks the same
+inputs, and tests that do not set ``max_examples`` run a bounded number.
+Pass ``--hypothesis-profile default`` to pytest for randomized runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 from dominion import L1Vector, MatrixOperator, MeasureSpace, unit_gap_pair
+
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=50, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -80,3 +92,56 @@ def random_vector(space: MeasureSpace, rng: Random, bound: int = 2) -> L1Vector:
         for _ in range(space.n)
     )
     return L1Vector(space, coords)
+
+
+# -- Fraction reference for MatrixOperator ----------------------------------
+# Matrices are tuples of Fraction rows, combined entry by entry with one
+# Fraction operation per step: the arithmetic the integer kernel replaces.
+
+Rows = tuple[tuple[Fraction, ...], ...]
+
+
+def ref_compose(a: Rows, b: Rows) -> Rows:
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def ref_power(a: Rows, exponent: int) -> Rows:
+    """Repeated multiplication, independent of the kernel's square-and-multiply."""
+    n = len(a)
+    result = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    for _ in range(exponent):
+        result = ref_compose(result, a)
+    return result
+
+
+def ref_norm(weights: tuple[Fraction, ...], a: Rows) -> Fraction:
+    """Largest weighted column sum relative to its own weight."""
+    n = len(a)
+    return max(
+        sum((weights[i] * abs(a[i][j]) for i in range(n)), Fraction(0)) / weights[j]
+        for j in range(n)
+    )
+
+
+def _entrywise(op, a: Rows, b: Rows) -> Rows:
+    return tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_add(a: Rows, b: Rows) -> Rows:
+    return _entrywise(operator.add, a, b)
+
+
+def ref_sub(a: Rows, b: Rows) -> Rows:
+    return _entrywise(operator.sub, a, b)
+
+
+def ref_meet(a: Rows, b: Rows) -> Rows:
+    return _entrywise(min, a, b)
+
+
+def ref_abs(a: Rows) -> Rows:
+    return tuple(tuple(abs(x) for x in row) for row in a)

@@ -272,6 +272,24 @@ class TestSweepCommand:
         assert replayed.operator_for_role("S") == pair.s
         assert replayed.operator_for_role("T") == pair.t
 
+    def test_unwritable_replay_bundle_keeps_falsified_exit(self, tmp_path, monkeypatch, capsys):
+        import dominion.cli
+        from dominion.sweeps import SweepFailure, SweepResult
+
+        failure = SweepFailure(seed=42, description="staged", payload=random_dominated_pair(42, 3))
+
+        def one_failure(count, **kwargs):
+            return SweepResult("dominated-powers", count, 1, 0, 0, 1, (failure,))
+
+        monkeypatch.setattr(dominion.cli, "sweep_dominated_powers", one_failure)
+        missing = tmp_path / "missing"
+        code = main(["sweep", "dominated-powers", "--count", "1", "--out", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAILURE seed 42: staged" in captured.out
+        assert "replay bundle for seed 42 could not be written" in captured.err
+        assert not missing.exists()
+
 
 class TestCertifyCommand:
     def test_certificate_found(self, averaging_bundle_path, capsys):

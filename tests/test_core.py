@@ -1,6 +1,9 @@
 """Substrate tests: exact norms, products, lattice structure on vectors,
 extreme-point reduction of the operator norm, and the numeric p-norm path."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -33,7 +36,19 @@ from dominion import (
     vec_meet,
 )
 
-from conftest import exact_unit_sphere_points, random_vector
+from dominion.calculus import operator_meet
+
+from conftest import (
+    exact_unit_sphere_points,
+    random_vector,
+    ref_abs,
+    ref_add,
+    ref_compose,
+    ref_meet,
+    ref_norm,
+    ref_power,
+    ref_sub,
+)
 
 small_fractions = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=8
@@ -168,6 +183,20 @@ class TestComposePower:
         other = MeasureSpace((1, 2))
         with pytest.raises(SpaceMismatchError):
             compose(MatrixOperator.identity(two_point), MatrixOperator.identity(other))
+
+
+class TestImmutability:
+    def test_fields_cannot_be_assigned(self, gap_pair):
+        with pytest.raises(AttributeError):
+            gap_pair.s.den = 1
+        with pytest.raises(AttributeError):
+            del gap_pair.s.num
+
+    def test_pickle_and_copy_round_trip(self, gap_pair):
+        product = gap_pair.s @ gap_pair.t
+        for clone in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
+            assert clone == product and hash(clone) == hash(product)
+            assert clone.entries == product.entries
 
 
 class TestVectorLattice:
@@ -395,3 +424,64 @@ class TestLpOperatorNorm:
             lp_operator_norm(op, 1.0)
         with pytest.raises(ValueError):
             lp_operator_norm(op, 2.0, tol=0.0)
+
+
+oracle_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12),
+)
+oracle_weights = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(5), max_denominator=9)
+
+
+@st.composite
+def oracle_case(draw):
+    """Three operators on one space with distinct weights, and an exponent."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    weights = tuple(draw(st.lists(oracle_weights, min_size=n, max_size=n, unique=True)))
+    rows = [
+        tuple(tuple(draw(oracle_entries) for _ in range(n)) for _ in range(n))
+        for _ in range(3)
+    ]
+    return MeasureSpace(weights), rows, draw(st.integers(min_value=0, max_value=20))
+
+
+class TestFractionOracle:
+    """The integer kernel against the per-entry Fraction reference."""
+
+    @staticmethod
+    def assert_matches(space, op, rows):
+        rebuilt = MatrixOperator(space, rows)
+        assert op.entries == rows
+        assert op == rebuilt and hash(op) == hash(rebuilt)
+        assert op.den > 0 and math.gcd(op.den, *(p for row in op.num for p in row)) == 1
+        assert op.norm() == ref_norm(space.weights, rows)
+        assert op.is_positive() == all(q >= 0 for row in rows for q in row)
+
+    @given(oracle_case())
+    def test_operations_match_reference(self, case):
+        space, (a, b, c), exponent = case
+        for rows in (a, b, c):
+            self.assert_matches(space, MatrixOperator(space, rows), rows)
+        x, y = MatrixOperator(space, a), MatrixOperator(space, b)
+        self.assert_matches(space, x @ y, ref_compose(a, b))
+        self.assert_matches(space, x**exponent, ref_power(a, exponent))
+        self.assert_matches(space, x + y, ref_add(a, b))
+        self.assert_matches(space, x - y, ref_sub(a, b))
+        self.assert_matches(space, abs(x), ref_abs(a))
+        self.assert_matches(space, operator_meet(x, y), ref_meet(a, b))
+        assert (x == y) == (a == b)
+        assert x.dominates(y) == all(p >= q for ra, rb in zip(a, b) for p, q in zip(ra, rb))
+        assert (x + abs(y)).dominates(x)
+
+    @given(oracle_case())
+    def test_equal_values_along_different_paths_hash_equal(self, case):
+        space, rows, _ = case
+        x, y, z = (MatrixOperator(space, r) for r in rows)
+        for left, right in (
+            ((x @ y) @ z, x @ (y @ z)),
+            ((x + y) + z, x + (y + z)),
+            (x - y, -(y - x)),
+            (x @ (y + z), x @ y + x @ z),
+            ((x * 3) / 3, x),
+        ):
+            assert left == right and hash(left) == hash(right)

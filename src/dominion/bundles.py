@@ -1,6 +1,6 @@
 """Operator bundle files: JSON documents whose numbers are exact.
 
-Schema (all rationals are canonical ``"p/q"`` strings, never decimals):
+Schema (rationals are ``"p/q"`` strings, never decimals):
 
     {
       "space":     {"weights": ["1/1", "1/1"]},
@@ -12,13 +12,17 @@ Schema (all rationals are canonical ``"p/q"`` strings, never decimals):
 ``roles`` maps a role name (Z, S, T, S1, T1, ...) to an operator name and
 is optional; an operator whose name equals the role serves as a fallback.
 ``params`` values are integers, rational strings, or lists of integers.
-Floating-point literals are rejected outright so exactness survives every
-round trip; parsing an emitted bundle reproduces it field-exactly.
+A rational string must match ``-?[0-9]+(/[0-9]+)?`` exactly; JSON integers
+are accepted where a rational is expected, booleans are not. Other strings
+and duplicated object keys are rejected with their location, and
+floating-point literals outright, so exactness survives every round trip;
+parsing an emitted bundle reproduces it field-exactly.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -109,15 +113,57 @@ class OperatorBundle:
         raise BundleError(f"params.{name}: expected an integer list, got {value!r}")
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _reject_float(text: str) -> None:
     raise BundleError(
         f"decimal literal {text!r} is not allowed; use an exact \"p/q\" string"
     )
 
 
+class _Object(dict):
+    """A decoded JSON object; ``duplicate`` names a key it held twice."""
+
+    duplicate: str | None = None
+
+
+def _object(pairs: list[tuple[str, object]]) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                obj.duplicate = key
+                break
+            seen.add(key)
+    return obj
+
+
+def _reject_duplicate_keys(node: object, where: str) -> None:
+    if isinstance(node, _Object):
+        prefix = f"{where}." if where else ""
+        if node.duplicate is not None:
+            raise BundleError(f"{prefix}{node.duplicate}: duplicate key")
+        for key, value in node.items():
+            _reject_duplicate_keys(value, prefix + key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_duplicate_keys(value, f"{where}[{i}]")
+
+
+def _is_int(raw: object) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_rational(raw: object) -> bool:
+    """A JSON integer, or a string in the rational grammar."""
+    return _is_int(raw) or (isinstance(raw, str) and _RATIONAL.fullmatch(raw) is not None)
+
+
 def _parse_rational(raw: object, where: str) -> Fraction:
-    if not isinstance(raw, (str, int)):
-        raise BundleError(f"{where}: expected a rational string, got {raw!r}")
+    if not _is_rational(raw):
+        raise BundleError(f"{where}: expected an integer or a \"p/q\" string, got {raw!r}")
     try:
         value = rat(raw)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -127,9 +173,10 @@ def _parse_rational(raw: object, where: str) -> Fraction:
 
 def parse_bundle(text: str) -> OperatorBundle:
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise BundleError(f"not valid JSON: {exc}") from None
+    _reject_duplicate_keys(doc, "")
     if not isinstance(doc, dict):
         raise BundleError("top level: expected an object")
 
@@ -181,9 +228,9 @@ def parse_bundle(text: str) -> OperatorBundle:
     if not isinstance(params_doc, dict):
         raise BundleError("params: expected an object")
     for key, value in params_doc.items():
-        if isinstance(value, (int, str)):
+        if _is_rational(value):
             continue
-        if isinstance(value, list) and all(isinstance(v, int) for v in value):
+        if isinstance(value, list) and all(_is_int(v) for v in value):
             continue
         raise BundleError(
             f"params.{key}: expected an integer, rational string, or integer list"

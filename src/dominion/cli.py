@@ -2,6 +2,11 @@
 
 Exit codes: 0 verified, 1 falsified, 2 hypothesis unmet (also certificate
 search exhaustion, which makes no claim either way), 3 input error.
+
+Exact values grow past CPython's default limit of 4300 digits for
+converting integers to and from strings (a trace at a high power, say).
+``main`` lifts that limit while it runs and restores the caller's setting
+on return, so no valid input fails on the size of its exact results.
 """
 
 from __future__ import annotations
@@ -485,6 +490,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -451,13 +451,14 @@ class MatrixOperator:
         measure, column ``j`` gives ``sum_i w_i |num_ij| / (w_j * den)``;
         the columns are compared by cross-multiplication.
         """
-        w = self.space._integer_weights
-        best_sum, best_weight = 0, 1
-        for w_j, col in zip(w, zip(*self.num)):
-            col_sum = sum(map(operator.mul, w, map(abs, col)))
-            if col_sum * best_weight > best_sum * w_j:
-                best_sum, best_weight = col_sum, w_j
-        return Fraction(best_sum, best_weight * self.den)
+        return _column_norm(self.space._integer_weights, zip(*self.num), self.den)
+
+    def distance(self, other: MatrixOperator) -> Fraction:
+        """Exactly ``(self - other).norm()``, computed on the aligned
+        numerators without building or reducing the difference operator."""
+        na, nb, den = self._aligned(other)
+        diff = (map(operator.sub, ra, rb) for ra, rb in zip(na, nb))
+        return _column_norm(self.space._integer_weights, zip(*diff), den)
 
     def is_contraction(self) -> bool:
         return self.norm() <= 1
@@ -485,6 +486,18 @@ class MatrixOperator:
             ", ".join(str(q) for q in row) for row in self.entries
         )
         return f"MatrixOperator[{body}]"
+
+
+def _column_norm(weights: tuple[int, ...], columns, den: int) -> Fraction:
+    """L1 norm of the matrix with the given numerator columns over ``den``:
+    the largest weighted absolute column sum relative to its own weight,
+    found by cross-multiplication."""
+    best_sum, best_weight = 0, 1
+    for w_j, col in zip(weights, columns):
+        col_sum = sum(map(operator.mul, weights, map(abs, col)))
+        if col_sum * best_weight > best_sum * w_j:
+            best_sum, best_weight = col_sum, w_j
+    return Fraction(best_sum, best_weight * den)
 
 
 def _scaled(num: Numerators, factor: int) -> Numerators:

@@ -9,9 +9,10 @@ replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
+from typing import Callable
 
 from .core import MatrixOperator, MeasureSpace
 from .gallery import (
@@ -21,8 +22,12 @@ from .gallery import (
     random_rational,
 )
 from .theorems import (
+    CommutingFamily,
     DominatedPair,
     Verdict,
+    VerdictReport,
+    _first_failure,
+    _power_products,
     check_family_grid,
     check_meet_bound,
     check_pair_product,
@@ -37,8 +42,6 @@ __all__ = [
     "sweep_meet_bound",
     "meet_bound_instance",
 ]
-
-SWEEP_KINDS = ("dominated-powers", "pair-product", "meet-bound")
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,43 @@ class SweepResult:
         return self.checked == self.requested and not self.failures
 
 
-def _seed_stream(seed0: int, requested: int):
+def _sweep(
+    kind: str,
+    count: int,
+    seed0: int,
+    draw: Callable[[int], object],
+    check: Callable[[object], tuple[Verdict, str]],
+) -> SweepResult:
+    """Draw ``draw(seed)`` for consecutive seeds until ``count`` instances
+    pass their premise. ``check(instance)`` returns the verdict and a
+    failure description; HYPOTHESIS_UNMET instances are skipped, and any
+    verdict other than VERIFIED is recorded as a failure carrying the
+    instance for replay."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    checked = passed = skipped = consumed = 0
+    failures: list[SweepFailure] = []
     # Skipping premise-failing draws must terminate even for bad parameters.
-    guard = max(20 * requested, requested + 50)
-    for offset in range(guard):
-        yield seed0 + offset
-    raise RuntimeError(
-        f"could not collect {requested} premise-satisfying instances "
-        f"within {guard} seeds"
-    )
+    guard = max(20 * count, count + 50)
+    for seed in range(seed0, seed0 + guard):
+        consumed += 1
+        instance = draw(seed)
+        verdict, description = check(instance)
+        if verdict is Verdict.HYPOTHESIS_UNMET:
+            skipped += 1
+            continue
+        checked += 1
+        if verdict is Verdict.VERIFIED:
+            passed += 1
+        else:
+            failures.append(SweepFailure(seed=seed, description=description, payload=instance))
+        if checked == count:
+            break
+    else:
+        raise RuntimeError(
+            f"could not collect {count} premise-satisfying instances within {guard} seeds"
+        )
+    return SweepResult(kind, count, checked, passed, skipped, consumed, tuple(failures))
 
 
 def sweep_dominated_powers(
@@ -84,54 +115,28 @@ def sweep_dominated_powers(
 ) -> SweepResult:
     """Random dominated pairs with gap norm strictly below one must keep
     |S^j - T^j| strictly below one for every j up to n_max, exactly."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    checked = passed = skipped = consumed = 0
-    failures: list[SweepFailure] = []
-    for seed in _seed_stream(seed0, count):
-        consumed += 1
-        pair = random_dominated_pair(seed, n, density=density, denom_cap=denom_cap)
+
+    def check(pair: DominatedPair) -> tuple[Verdict, str]:
         if pair.gap_norm() >= 1:
-            skipped += 1
-            continue
-        checked += 1
-        failure = _first_power_gap_failure(pair, n_max)
+            return Verdict.HYPOTHESIS_UNMET, ""
+        products = _power_products(pair.s, pair.t, pair.s, pair.t, 1, n_max)
+        failure = _first_failure(((j,), s_pow.distance(t_pow)) for j, s_pow, t_pow in products)
         if failure is None:
-            passed += 1
-        else:
-            j, gap = failure
-            failures.append(SweepFailure(
-                seed=seed,
-                description=f"gap norm {gap} at power {j}",
-                payload=pair,
-            ))
-        if checked == count:
-            break
-    return SweepResult(
-        kind="dominated-powers",
-        requested=count,
-        checked=checked,
-        passed=passed,
-        skipped=skipped,
-        seeds_consumed=consumed,
-        failures=tuple(failures),
+            return Verdict.VERIFIED, ""
+        (j,), gap = failure
+        return Verdict.FALSIFIED, f"gap norm {gap} at power {j}"
+
+    return _sweep(
+        "dominated-powers",
+        count,
+        seed0,
+        lambda seed: random_dominated_pair(seed, n, density=density, denom_cap=denom_cap),
+        check,
     )
 
 
-def _first_power_gap_failure(
-    pair: DominatedPair,
-    n_max: int,
-) -> tuple[int, Fraction] | None:
-    s_pow = pair.s
-    t_pow = pair.t
-    for j in range(1, n_max + 1):
-        if j > 1:
-            s_pow = s_pow @ pair.s
-            t_pow = t_pow @ pair.t
-        gap = (s_pow - t_pow).norm()
-        if gap >= 1:
-            return j, gap
-    return None
+def _report_outcome(report: VerdictReport, where: str) -> tuple[Verdict, str]:
+    return report.verdict, f"gap norm {report.failure_norm} at {where} {report.failure_point}"
 
 
 def sweep_pair_product(
@@ -144,39 +149,17 @@ def sweep_pair_product(
 ) -> SweepResult:
     """Random commuting quadruples (two dominated pairs, shared polynomial
     base) with the base gap norm below one must verify the product law."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    checked = passed = skipped = consumed = 0
-    failures: list[SweepFailure] = []
-    for seed in _seed_stream(seed0, count):
-        consumed += 1
-        family = random_commuting_family(seed, 2, n, degree=degree, denom_cap=denom_cap)
+
+    def check(family: CommutingFamily) -> tuple[Verdict, str]:
         (p1, p2) = family.pairs
-        report = check_pair_product(p1.t, p2.t, p1.s, p2.s, 1, n_max)
-        if report.verdict is Verdict.HYPOTHESIS_UNMET:
-            skipped += 1
-            continue
-        checked += 1
-        if report.verdict is Verdict.VERIFIED:
-            passed += 1
-        else:
-            failures.append(SweepFailure(
-                seed=seed,
-                description=(
-                    f"gap norm {report.failure_norm} at n = {report.failure_point}"
-                ),
-                payload=family,
-            ))
-        if checked == count:
-            break
-    return SweepResult(
-        kind="pair-product",
-        requested=count,
-        checked=checked,
-        passed=passed,
-        skipped=skipped,
-        seeds_consumed=consumed,
-        failures=tuple(failures),
+        return _report_outcome(check_pair_product(p1.t, p2.t, p1.s, p2.s, 1, n_max), "n =")
+
+    return _sweep(
+        "pair-product",
+        count,
+        seed0,
+        lambda seed: random_commuting_family(seed, 2, n, degree=degree, denom_cap=denom_cap),
+        check,
     )
 
 
@@ -191,40 +174,14 @@ def sweep_family_grid(
 ) -> SweepResult:
     """Random commuting families must verify the grid form of the product
     law over the full exponent grid up to m_max."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if len(m_max) != n_pairs:
         raise ValueError("m_max needs one bound per pair")
-    checked = passed = skipped = consumed = 0
-    failures: list[SweepFailure] = []
-    for seed in _seed_stream(seed0, count):
-        consumed += 1
-        family = random_commuting_family(seed, n_pairs, n, degree=degree, denom_cap=denom_cap)
-        report = check_family_grid(family, m_max)
-        if report.verdict is Verdict.HYPOTHESIS_UNMET:
-            skipped += 1
-            continue
-        checked += 1
-        if report.verdict is Verdict.VERIFIED:
-            passed += 1
-        else:
-            failures.append(SweepFailure(
-                seed=seed,
-                description=(
-                    f"gap norm {report.failure_norm} at grid point {report.failure_point}"
-                ),
-                payload=family,
-            ))
-        if checked == count:
-            break
-    return SweepResult(
-        kind="family-grid",
-        requested=count,
-        checked=checked,
-        passed=passed,
-        skipped=skipped,
-        seeds_consumed=consumed,
-        failures=tuple(failures),
+    return _sweep(
+        "family-grid",
+        count,
+        seed0,
+        lambda seed: random_commuting_family(seed, n_pairs, n, degree=degree, denom_cap=denom_cap),
+        lambda family: _report_outcome(check_family_grid(family, m_max), "grid point"),
     )
 
 
@@ -284,14 +241,8 @@ def _permutation_order(perm: tuple[int, ...]) -> int:
             seen[j] = True
             j = perm[j]
             length += 1
-        order = _lcm(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def sweep_meet_bound(
@@ -301,34 +252,16 @@ def sweep_meet_bound(
     denom_cap: int | None = None,
 ) -> SweepResult:
     """The halving step must hold on every premise-satisfying instance."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    checked = passed = skipped = consumed = 0
-    failures: list[SweepFailure] = []
-    for seed in _seed_stream(seed0, count):
-        consumed += 1
-        z, t, m, k = meet_bound_instance(seed, n, denom_cap=denom_cap)
+
+    def check(instance) -> tuple[Verdict, str]:
+        z, t, m, k = instance
         report = check_meet_bound(z, t, m, k)
-        if report.verdict is Verdict.HYPOTHESIS_UNMET:
-            skipped += 1
-            continue
-        checked += 1
-        if report.verdict is Verdict.VERIFIED:
-            passed += 1
-        else:
-            failures.append(SweepFailure(
-                seed=seed,
-                description=f"conclusion norm {report.failure_norm} (m={m}, k={k})",
-                payload=(z, t, m, k),
-            ))
-        if checked == count:
-            break
-    return SweepResult(
-        kind="meet-bound",
-        requested=count,
-        checked=checked,
-        passed=passed,
-        skipped=skipped,
-        seeds_consumed=consumed,
-        failures=tuple(failures),
+        return report.verdict, f"conclusion norm {report.failure_norm} (m={m}, k={k})"
+
+    return _sweep(
+        "meet-bound",
+        count,
+        seed0,
+        lambda seed: meet_bound_instance(seed, n, denom_cap=denom_cap),
+        check,
     )

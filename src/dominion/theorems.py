@@ -15,12 +15,13 @@ upgrades to a tail guarantee and the report records which kind was earned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .calculus import is_lattice_homomorphism, operator_meet
 from .core import (
@@ -135,7 +136,7 @@ class DominatedPair:
             raise HypothesisViolation("T is not a contraction")
 
     def gap_norm(self) -> Fraction:
-        return (self.s - self.t).norm()
+        return self.s.distance(self.t)
 
 
 @dataclass(frozen=True)
@@ -283,6 +284,25 @@ def _positive_contraction_checks(name: str, op: MatrixOperator) -> list[Hypothes
     ]
 
 
+def _damping_hypotheses(
+    z: MatrixOperator,
+    t: MatrixOperator,
+    t_high: MatrixOperator,
+    t_low: MatrixOperator,
+) -> tuple[list[HypothesisCheck], Fraction]:
+    """Ledger of the meet bound and the certificate search: Z is a
+    sup-preserving contraction commuting with the positive contraction T,
+    and the premise norm |Z (T^(m+k) - T^m)| is below two."""
+    premise = (z @ (t_high - t_low)).norm()
+    return [
+        HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
+        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {z.norm()}"),
+        HypothesisCheck("Z T = T Z", commutes(z, t)),
+        *_positive_contraction_checks("T", t),
+        HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {premise}"),
+    ], premise
+
+
 def _report_for(
     command: str,
     hypotheses: Sequence[HypothesisCheck],
@@ -292,6 +312,108 @@ def _report_for(
 
 
 # -- power-gap persistence checkers -------------------------------------------
+
+
+def _power_products(
+    ax: MatrixOperator,
+    by: MatrixOperator,
+    x: MatrixOperator,
+    y: MatrixOperator,
+    n0: int,
+    n_max: int,
+) -> Iterator[tuple[int, MatrixOperator, MatrixOperator]]:
+    """The power-gap kernel: yield ``(n, A X^n, B Y^n)`` for n = n0..n_max
+    from ``ax = A X^n0`` and ``by = B Y^n0``, by one right multiplication
+    per side per step, so factor order is kept and nothing need commute."""
+    yield n0, ax, by
+    for n in range(n0 + 1, n_max + 1):
+        ax = ax @ x
+        by = by @ y
+        yield n, ax, by
+
+
+def _grid_gaps(
+    s_factors: Sequence[MatrixOperator],
+    t_factors: Sequence[MatrixOperator],
+    n0s: Sequence[int],
+    m_max: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield ``(exponents, |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|)``
+    for n_i in [n0s[i], m_max[i]] in lexicographic order.
+
+    The leading axes run as an odometer of cached prefix products: stepping
+    axis j multiplies prefix j by S_j (and T_j), and the deeper prefixes are
+    rebuilt from their base powers. The last axis runs the power-gap kernel.
+    """
+    last = len(n0s) - 1
+    s_base = [s**n0 for s, n0 in zip(s_factors, n0s)]
+    t_base = [t**n0 for t, n0 in zip(t_factors, n0s)]
+    exponents = list(n0s[:last])
+    s_prefix: list[MatrixOperator] = []
+    t_prefix: list[MatrixOperator] = []
+    axis = 0
+    while axis >= 0:
+        del s_prefix[axis:], t_prefix[axis:]
+        for j in range(axis, last):
+            s_prefix.append(s_prefix[-1] @ s_base[j] if j else s_base[j])
+            t_prefix.append(t_prefix[-1] @ t_base[j] if j else t_base[j])
+        s_start = s_prefix[-1] @ s_base[last] if last else s_base[last]
+        t_start = t_prefix[-1] @ t_base[last] if last else t_base[last]
+        lead = tuple(exponents)
+        for n, s_prod, t_prod in _power_products(
+            s_start, t_start, s_factors[last], t_factors[last], n0s[last], m_max[last]
+        ):
+            yield lead + (n,), s_prod.distance(t_prod)
+        axis = last - 1
+        while axis >= 0 and exponents[axis] == m_max[axis]:
+            exponents[axis] = n0s[axis]
+            axis -= 1
+        if axis >= 0:
+            exponents[axis] += 1
+            s_prefix[axis] = s_prefix[axis] @ s_factors[axis]
+            t_prefix[axis] = t_prefix[axis] @ t_factors[axis]
+            axis += 1
+
+
+def _first_failure(
+    gaps: Iterable[tuple[tuple[int, ...], Fraction]],
+) -> tuple[tuple[int, ...], Fraction] | None:
+    """The first ``(point, gap)`` with gap norm >= 1, or None."""
+    return next(((point, gap) for point, gap in gaps if gap >= 1), None)
+
+
+def _power_gap_report(
+    command: str,
+    hyps: Sequence[HypothesisCheck],
+    gaps: Iterator[tuple[tuple[int, ...], Fraction]],
+    ranges: tuple[tuple[int, int], ...],
+) -> VerdictReport:
+    """Take the first gap as the base gap norm and append it to the
+    hypotheses; if they all hold, check the remaining gaps over ``ranges``."""
+    _, base = next(gaps)
+    hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {base}"))
+    values = (("base gap norm", base),)
+    if not all(h.holds for h in hyps):
+        return _report_for(command, hyps, verdict=Verdict.HYPOTHESIS_UNMET, values=values)
+    point, gap = _first_failure(gaps) or (None, None)
+    return _report_for(
+        command,
+        hyps,
+        verdict=Verdict.VERIFIED if point is None else Verdict.FALSIFIED,
+        ranges=ranges,
+        guarantee=PREFIX_ONLY,
+        values=values,
+        failure_point=point,
+        failure_norm=gap,
+        notes=() if point is None else (INTERNAL_INCONSISTENCY_NOTE,),
+    )
+
+
+def _check_range(n0: int, n_max: int) -> None:
+    if n0 < 1:
+        raise ValueError("n0 must be >= 1")
+    if n_max < n0:
+        raise ValueError("n_max must be >= n0")
 
 
 def check_pair_product(
@@ -310,10 +432,7 @@ def check_pair_product(
     operators, S1 >= T1, S2 >= T2, S1 S2 = S2 S1, and the base gap norm.
     The conclusion is then re-verified for every n in [n0, n_max].
     """
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    if n_max < n0:
-        raise ValueError("n_max must be >= n0")
+    _check_range(n0, n_max)
     for other in (t2, s1, s2):
         t1._require_same_space(other)
     command = command or f"pair-product(n0={n0}, n_max={n_max})"
@@ -324,42 +443,9 @@ def check_pair_product(
     hyps.append(HypothesisCheck("S1 dominates T1", s1.dominates(t1)))
     hyps.append(HypothesisCheck("S2 dominates T2", s2.dominates(t2)))
     hyps.append(HypothesisCheck("S1 S2 = S2 S1", commutes(s1, s2)))
-
-    s2_pow = s2**n0
-    t2_pow = t2**n0
-    base = (s1 @ s2_pow - t1 @ t2_pow).norm()
-    hyps.append(
-        HypothesisCheck("base gap norm < 1", base < 1, f"norm = {base}")
-    )
-    values = (("base gap norm", base),)
-    if not all(h.holds for h in hyps):
-        return _report_for(command, hyps, verdict=Verdict.HYPOTHESIS_UNMET, values=values)
-
-    for n in range(n0, n_max + 1):
-        if n > n0:
-            s2_pow = s2_pow @ s2
-            t2_pow = t2_pow @ t2
-        gap = (s1 @ s2_pow - t1 @ t2_pow).norm()
-        if gap >= 1:
-            return _report_for(
-                command,
-                hyps,
-                verdict=Verdict.FALSIFIED,
-                ranges=((n0, n_max),),
-                guarantee=PREFIX_ONLY,
-                values=values,
-                failure_point=(n,),
-                failure_norm=gap,
-                notes=(INTERNAL_INCONSISTENCY_NOTE,),
-            )
-    return _report_for(
-        command,
-        hyps,
-        verdict=Verdict.VERIFIED,
-        ranges=((n0, n_max),),
-        guarantee=PREFIX_ONLY,
-        values=values,
-    )
+    products = _power_products(s1 @ s2**n0, t1 @ t2**n0, s2, t2, n0, n_max)
+    gaps = (((n,), a.distance(b)) for n, a, b in products)
+    return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
 
 
 def check_damped_powers(
@@ -371,11 +457,10 @@ def check_damped_powers(
     command: str | None = None,
 ) -> VerdictReport:
     """Damped power gaps: once |Z (S^n - T^n)| < 1 at n = n0 it stays
-    below one, for positive contractions with T <= S and ZS = SZ."""
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    if n_max < n0:
-        raise ValueError("n_max must be >= n0")
+    below one, for positive contractions with T <= S and ZS = SZ.
+
+    The gap is evaluated as the distance between Z S^n and Z T^n."""
+    _check_range(n0, n_max)
     z._require_same_space(s)
     z._require_same_space(t)
     command = command or f"damped-powers(n0={n0}, n_max={n_max})"
@@ -385,40 +470,9 @@ def check_damped_powers(
         hyps.extend(_positive_contraction_checks(name, op))
     hyps.append(HypothesisCheck("S dominates T", s.dominates(t)))
     hyps.append(HypothesisCheck("Z S = S Z", commutes(z, s)))
-
-    s_pow = s**n0
-    t_pow = t**n0
-    base = (z @ (s_pow - t_pow)).norm()
-    hyps.append(HypothesisCheck("base gap norm < 1", base < 1, f"norm = {base}"))
-    values = (("base gap norm", base),)
-    if not all(h.holds for h in hyps):
-        return _report_for(command, hyps, verdict=Verdict.HYPOTHESIS_UNMET, values=values)
-
-    for n in range(n0, n_max + 1):
-        if n > n0:
-            s_pow = s_pow @ s
-            t_pow = t_pow @ t
-        gap = (z @ (s_pow - t_pow)).norm()
-        if gap >= 1:
-            return _report_for(
-                command,
-                hyps,
-                verdict=Verdict.FALSIFIED,
-                ranges=((n0, n_max),),
-                guarantee=PREFIX_ONLY,
-                values=values,
-                failure_point=(n,),
-                failure_norm=gap,
-                notes=(INTERNAL_INCONSISTENCY_NOTE,),
-            )
-    return _report_for(
-        command,
-        hyps,
-        verdict=Verdict.VERIFIED,
-        ranges=((n0, n_max),),
-        guarantee=PREFIX_ONLY,
-        values=values,
-    )
+    products = _power_products(z @ s**n0, z @ t**n0, s, t, n0, n_max)
+    gaps = (((n,), a.distance(b)) for n, a, b in products)
+    return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
 
 
 def check_family_grid(
@@ -434,6 +488,12 @@ def check_family_grid(
     Family invariants (positivity, domination, contractivity, pairwise
     commutation) were enforced when the family was built; the checker
     re-records them as granted and validates the base norm exactly.
+
+    The grid is walked in lexicographic order, so a FALSIFIED report names
+    the lexicographically first failing point. The leading axes run as an
+    odometer of cached prefix products and the last axis through the
+    power-gap kernel, at about two products per grid point; the walk holds
+    O(number of pairs) operators, never a table of powers.
     """
     n0s = family.base_exponents
     if len(m_max) != family.size:
@@ -447,64 +507,17 @@ def check_family_grid(
         )
     command = command or f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"
 
-    hyps: list[HypothesisCheck] = [
+    hyps = [
         HypothesisCheck(
             "family invariants (positivity, domination, contractivity, commutation)",
             True,
             "enforced at construction",
         )
     ]
-
-    s_powers: list[dict[int, MatrixOperator]] = []
-    t_powers: list[dict[int, MatrixOperator]] = []
-    for pair, n0, m in zip(family.pairs, n0s, m_max):
-        s_acc: dict[int, MatrixOperator] = {n0: pair.s**n0}
-        t_acc: dict[int, MatrixOperator] = {n0: pair.t**n0}
-        for e in range(n0 + 1, m + 1):
-            s_acc[e] = s_acc[e - 1] @ pair.s
-            t_acc[e] = t_acc[e - 1] @ pair.t
-        s_powers.append(s_acc)
-        t_powers.append(t_acc)
-
-    def gap_at(exponents: tuple[int, ...]) -> Fraction:
-        prod_s = s_powers[0][exponents[0]]
-        prod_t = t_powers[0][exponents[0]]
-        for i in range(1, family.size):
-            prod_s = prod_s @ s_powers[i][exponents[i]]
-            prod_t = prod_t @ t_powers[i][exponents[i]]
-        return (prod_s - prod_t).norm()
-
-    base = gap_at(tuple(n0s))
-    hyps.append(HypothesisCheck("base gap norm < 1", base < 1, f"norm = {base}"))
-    values = (("base gap norm", base),)
+    s_factors = [pair.s for pair in family.pairs]
+    t_factors = [pair.t for pair in family.pairs]
     ranges = tuple((n0, m) for n0, m in zip(n0s, m_max))
-    if base >= 1:
-        return _report_for(command, hyps, verdict=Verdict.HYPOTHESIS_UNMET, values=values)
-
-    for exponents in itertools.product(
-        *(range(n0, m + 1) for n0, m in zip(n0s, m_max))
-    ):
-        gap = gap_at(exponents)
-        if gap >= 1:
-            return _report_for(
-                command,
-                hyps,
-                verdict=Verdict.FALSIFIED,
-                ranges=ranges,
-                guarantee=PREFIX_ONLY,
-                values=values,
-                failure_point=exponents,
-                failure_norm=gap,
-                notes=(INTERNAL_INCONSISTENCY_NOTE,),
-            )
-    return _report_for(
-        command,
-        hyps,
-        verdict=Verdict.VERIFIED,
-        ranges=ranges,
-        guarantee=PREFIX_ONLY,
-        values=values,
-    )
+    return _power_gap_report(command, hyps, _grid_gaps(s_factors, t_factors, n0s, m_max), ranges)
 
 
 def check_meet_bound(
@@ -529,17 +542,9 @@ def check_meet_bound(
     z._require_same_space(t)
     command = command or f"meet-bound(m={m}, k={k})"
 
-    hyps: list[HypothesisCheck] = [
-        HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
-        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {z.norm()}"),
-        HypothesisCheck("Z T = T Z", commutes(z, t)),
-    ]
-    hyps.extend(_positive_contraction_checks("T", t))
-
     t_high = t ** (m + k)
     t_low = t**m
-    premise = (z @ (t_high - t_low)).norm()
-    hyps.append(HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {premise}"))
+    hyps, premise = _damping_hypotheses(z, t, t_high, t_low)
     if not all(h.holds for h in hyps):
         return _report_for(
             command,
@@ -724,23 +729,12 @@ def find_epsilon_certificate(
     z._require_same_space(t)
     command = f"certificate(m={m}, k={k}, epsilon={eps})"
 
-    hyps: list[HypothesisCheck] = [
-        HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
-        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {z.norm()}"),
-        HypothesisCheck("Z T = T Z", commutes(z, t)),
-    ]
-    hyps.extend(_positive_contraction_checks("T", t))
-    premise = (z @ (t ** (m + k) - t**m)).norm()
-    hyps.append(HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {premise}"))
+    hyps, premise = _damping_hypotheses(z, t, t ** (m + k), t**m)
+    search = functools.partial(
+        CertificateSearch, command, tuple(hyps), epsilon=eps, d_cap=d_cap, n0_cap=n0_cap
+    )
     if not all(h.holds for h in hyps):
-        return CertificateSearch(
-            command=command,
-            hypotheses=tuple(hyps),
-            verdict=Verdict.HYPOTHESIS_UNMET,
-            epsilon=eps,
-            d_cap=d_cap,
-            n0_cap=n0_cap,
-        )
+        return search(Verdict.HYPOTHESIS_UNMET)
 
     identity = MatrixOperator.identity(t.space)
     step = t**k - identity
@@ -751,22 +745,10 @@ def find_epsilon_certificate(
                 current = t @ current
             norm = current.norm()
             if norm < eps:
-                return CertificateSearch(
-                    command=command,
-                    hypotheses=tuple(hyps),
-                    verdict=Verdict.VERIFIED,
-                    epsilon=eps,
-                    d_cap=d_cap,
-                    n0_cap=n0_cap,
+                return search(
+                    Verdict.VERIFIED,
                     certificate=(d, n),
                     achieved_norm=norm,
                     guarantee=TAIL_BY_MONOTONICITY,
                 )
-    return CertificateSearch(
-        command=command,
-        hypotheses=tuple(hyps),
-        verdict=Verdict.EXHAUSTED,
-        epsilon=eps,
-        d_cap=d_cap,
-        n0_cap=n0_cap,
-    )
+    return search(Verdict.EXHAUSTED)

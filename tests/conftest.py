@@ -145,3 +145,27 @@ def ref_meet(a: Rows, b: Rows) -> Rows:
 
 def ref_abs(a: Rows) -> Rows:
     return tuple(tuple(abs(x) for x in row) for row in a)
+
+
+def ref_identity(n: int) -> Rows:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def ref_grid_gaps(
+    weights: tuple[Fraction, ...],
+    s_factors: list[Rows],
+    t_factors: list[Rows],
+    n0s: tuple[int, ...],
+    m_max: tuple[int, ...],
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Gap norm |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)| at every grid
+    point in ``itertools.product`` order, each product built from scratch."""
+    n = len(weights)
+    gaps = []
+    for exponents in itertools.product(*(range(n0, m + 1) for n0, m in zip(n0s, m_max))):
+        s_prod = t_prod = ref_identity(n)
+        for s, t, e in zip(s_factors, t_factors, exponents):
+            s_prod = ref_compose(s_prod, ref_power(s, e))
+            t_prod = ref_compose(t_prod, ref_power(t, e))
+        gaps.append((exponents, ref_norm(weights, ref_sub(s_prod, t_prod))))
+    return gaps

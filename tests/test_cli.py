@@ -1,11 +1,18 @@
 """Bundle round trips, report rendering, exit codes, and CSV traces."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dominion import MatrixOperator, random_commuting_family, random_dominated_pair, unit_gap_pair
+from dominion import (
+    MatrixOperator,
+    random_commuting_family,
+    random_dominated_pair,
+    random_positive_contraction,
+    unit_gap_pair,
+)
 from dominion.bundles import (
     BundleError,
     OperatorBundle,
@@ -120,6 +127,73 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match=r"rows\[0\]\[1\]"):
             parse_bundle(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1/2 ", "1e3", "1_000", "+1", "1/-2", "1 / 2", "1/2/3", "", "٣"])
+    def test_rejects_loose_rational_strings(self, text):
+        doc = {
+            "space": {"weights": ["1/1", "1/1"]},
+            "operators": {"T": {"rows": [["1/2", text], ["0/1", "0/1"]]}},
+        }
+        with pytest.raises(BundleError, match=r"operators\.T\.rows\[0\]\[1\]"):
+            parse_bundle(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1e3", "1_000"])
+    def test_rejects_loose_weights_and_params(self, text):
+        with pytest.raises(BundleError, match=r"space\.weights\[1\]"):
+            parse_bundle(json.dumps({"space": {"weights": ["1/1", text]}}))
+        doc = {"space": {"weights": ["1/1"]}, "params": {"epsilon": text}}
+        with pytest.raises(BundleError, match=r"params\.epsilon"):
+            parse_bundle(json.dumps(doc))
+
+    def test_rejects_booleans_as_numbers(self):
+        with pytest.raises(BundleError, match=r"space\.weights\[0\]"):
+            parse_bundle('{"space": {"weights": [true]}}')
+        with pytest.raises(BundleError, match=r"params\.n0"):
+            parse_bundle('{"space": {"weights": ["1/1"]}, "params": {"n0": true}}')
+
+    def test_accepts_canonical_rationals_and_integers(self):
+        doc = {
+            "space": {"weights": ["1/1", 2]},
+            "operators": {"T": {"rows": [["-1/2", "3"], ["0", "10/4"]]}},
+            "params": {"epsilon": "-7/3", "n0": [1, 2]},
+        }
+        bundle = parse_bundle(json.dumps(doc))
+        assert bundle.space.weights == (1, 2)
+        assert bundle.operators["T"].entries == ((Fraction(-1, 2), 3), (0, Fraction(5, 2)))
+        assert bundle.param_rational("epsilon") == Fraction(-7, 3)
+
+    def test_rejects_duplicate_operator(self):
+        text = (
+            '{"space": {"weights": ["1/1"]}, "operators": '
+            '{"T": {"rows": [["1/2"]]}, "T": {"rows": [["1/3"]]}}}'
+        )
+        with pytest.raises(BundleError, match=r"operators\.T: duplicate key"):
+            parse_bundle(text)
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"space": {"weights": ["1/1"]}, "space": {"weights": ["1/2"]}}', "space"),
+        ('{"space": {"weights": ["1/1"], "weights": ["1/2"]}}', r"space\.weights"),
+        ('{"space": {"weights": ["1/1"]}, "params": {"k": 1, "k": 2}}', r"params\.k"),
+        ('{"space": {"weights": ["1/1"]}, "operators": {"T": {"rows": [["1/2"]], "rows": [["1/3"]]}}}',
+         r"operators\.T\.rows"),
+        ('{"space": {"weights": ["1/1"]}, "roles": {"T": "T", "T": "S"}}', r"roles\.T"),
+    ])
+    def test_rejects_duplicate_keys_anywhere(self, text, where):
+        with pytest.raises(BundleError, match=where + ": duplicate key"):
+            parse_bundle(text)
+
+    def test_loose_bundles_exit_3(self, tmp_path, capsys):
+        loose = tmp_path / "loose.bundle"
+        loose.write_text('{"space": {"weights": ["1/1"]}, "operators": {"T": {"rows": [["0.5"]]}}}')
+        duplicated = tmp_path / "duplicated.bundle"
+        duplicated.write_text(
+            '{"space": {"weights": ["1/1"]}, "operators": '
+            '{"T": {"rows": [["1/2"]]}, "T": {"rows": [["1/3"]]}}}'
+        )
+        assert main(["trace", str(loose)]) == 3
+        assert "operators.T.rows[0][0]" in capsys.readouterr().err
+        assert main(["trace", str(duplicated)]) == 3
+        assert "operators.T: duplicate key" in capsys.readouterr().err
+
     def test_missing_role_lookup(self):
         bundle = parse_bundle('{"space": {"weights": ["1/1"]}, "operators": {}}')
         with pytest.raises(BundleError, match="role 'T'"):
@@ -208,6 +282,25 @@ class TestTraceCommand:
     def test_unwritable_path(self, averaging_bundle_path):
         code = main(["trace", averaging_bundle_path, "--out", "/no/such/dir/x.csv"])
         assert code == 3
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+    )
+    def test_values_past_the_int_digit_limit(self, tmp_path, capsys):
+        t = random_positive_contraction(5, 4, density=1.0, denom_cap=64)
+        path = tmp_path / "t.bundle"
+        save_bundle(bundle_for_damped(MatrixOperator.identity(t.space), t), str(path))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["trace", str(path), "--n-max", "150"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 152
+        assert max(len(row.split(",")[1]) for row in rows[1:]) > 2 * 640
 
 
 class TestExampleCommand:

@@ -183,6 +183,8 @@ class TestComposePower:
         other = MeasureSpace((1, 2))
         with pytest.raises(SpaceMismatchError):
             compose(MatrixOperator.identity(two_point), MatrixOperator.identity(other))
+        with pytest.raises(SpaceMismatchError):
+            MatrixOperator.identity(two_point).distance(MatrixOperator.identity(other))
 
 
 class TestImmutability:
@@ -469,6 +471,11 @@ class TestFractionOracle:
         self.assert_matches(space, x - y, ref_sub(a, b))
         self.assert_matches(space, abs(x), ref_abs(a))
         self.assert_matches(space, operator_meet(x, y), ref_meet(a, b))
+        assert x.distance(y) == ref_norm(space.weights, ref_sub(a, b)) == y.distance(x)
+        assert (x @ y).distance(x**exponent) == ref_norm(
+            space.weights, ref_sub(ref_compose(a, b), ref_power(a, exponent))
+        )
+        assert x.distance(x) == 0
         assert (x == y) == (a == b)
         assert x.dominates(y) == all(p >= q for ra, rb in zip(a, b) for p, q in zip(ra, rb))
         assert (x + abs(y)).dominates(x)

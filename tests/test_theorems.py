@@ -1,9 +1,10 @@
-"""Checker semantics: hypothesis ledgers, verdicts, traces, decomposition
-witnesses, and the certificate search."""
+"""Checker semantics: hypothesis ledgers, verdicts, the power-gap kernel,
+traces, decomposition witnesses, and the certificate search."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dominion import (
     CommutingFamily,
@@ -11,6 +12,7 @@ from dominion import (
     GridCapExceeded,
     HypothesisViolation,
     MatrixOperator,
+    MeasureSpace,
     Verdict,
     averaging_defect,
     build_decomposition,
@@ -26,6 +28,9 @@ from dominion import (
     zero_two_trace,
 )
 from dominion.sweeps import sweep_dominated_powers, sweep_meet_bound
+from dominion.theorems import _grid_gaps, _power_gap_report, _power_products
+
+from conftest import ref_compose, ref_grid_gaps, ref_power
 
 
 @pytest.fixture
@@ -160,6 +165,93 @@ class TestFamilyGrid:
         family = CommutingFamily(pairs=(pair,), base_exponents=(2,))
         with pytest.raises(ValueError):
             check_family_grid(family, (1,))
+
+
+kernel_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=6),
+)
+
+
+@st.composite
+def grid_case(draw, min_axes=1, min_n=1):
+    """``min_axes`` to three axes of arbitrary (S_i, T_i) on a ``min_n`` to 3
+    point space, with base exponents up to 3 and up to three exponents per
+    axis."""
+    n = draw(st.integers(min_value=min_n, max_value=3))
+    weights = tuple(draw(st.lists(
+        st.fractions(min_value=Fraction(1, 3), max_value=Fraction(4), max_denominator=4),
+        min_size=n, max_size=n, unique=True,
+    )))
+    axes = draw(st.integers(min_value=min_axes, max_value=3))
+
+    def rows():
+        return tuple(tuple(draw(kernel_entries) for _ in range(n)) for _ in range(n))
+
+    s_rows = [rows() for _ in range(axes)]
+    t_rows = [rows() for _ in range(axes)]
+    n0s = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(axes))
+    m_max = tuple(n0 + draw(st.integers(min_value=0, max_value=2)) for n0 in n0s)
+    return weights, s_rows, t_rows, n0s, m_max
+
+
+class TestPowerGapKernel:
+    """The power-gap kernel and the grid odometer against products built
+    from scratch in the Fraction reference."""
+
+    @staticmethod
+    def assert_grid_matches(case):
+        """The whole sequence of (exponents, gap): its order pins the first
+        failure, its values pin the factor order of every product."""
+        weights, s_rows, t_rows, n0s, m_max = case
+        space = MeasureSpace(weights)
+        s_ops = [MatrixOperator(space, r) for r in s_rows]
+        t_ops = [MatrixOperator(space, r) for r in t_rows]
+        got = list(_grid_gaps(s_ops, t_ops, n0s, m_max))
+        assert got == ref_grid_gaps(weights, s_rows, t_rows, n0s, m_max)
+
+    @settings(max_examples=40)
+    @given(grid_case())
+    def test_grid_gaps_match_reference(self, case):
+        self.assert_grid_matches(case)
+
+    @settings(max_examples=15)
+    @given(grid_case(min_axes=3, min_n=2))
+    def test_three_axis_grids_match_reference(self, case):
+        self.assert_grid_matches(case)
+
+    @settings(max_examples=40)
+    @given(grid_case(min_axes=2), st.integers(min_value=0, max_value=4))
+    def test_power_products_match_reference(self, case, steps):
+        weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
+        space = MeasureSpace(weights)
+        ax = MatrixOperator(space, ref_compose(a, ref_power(x, n0)))
+        by = MatrixOperator(space, ref_compose(b, ref_power(y, n0)))
+        xs, ys = MatrixOperator(space, x), MatrixOperator(space, y)
+        got = [(n, p.entries, q.entries) for n, p, q in _power_products(ax, by, xs, ys, n0, n0 + steps)]
+        assert got == [
+            (n, ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n)))
+            for n in range(n0, n0 + steps + 1)
+        ]
+
+    def test_grid_keeps_axis_order_of_non_commuting_factors(self):
+        space = MeasureSpace((1, 3))
+        t1 = MatrixOperator(space, ((1, 1), (0, 0)))
+        t2 = MatrixOperator(space, ((1, 0), (1, 0)))
+        zero = MatrixOperator.zero(space)
+        assert t1 @ t2 != t2 @ t1
+        gaps = dict(_grid_gaps([zero, zero], [t1, t2], (1, 1), (1, 1)))
+        assert gaps == {(1, 1): (t1 @ t2).norm()} == {(1, 1): Fraction(2)}
+        assert (t2 @ t1).norm() == 4
+
+    def test_report_names_the_first_gap_of_norm_one_or_more(self):
+        gaps = [((1, 1), Fraction(1, 2)), ((1, 2), Fraction(1)), ((2, 1), Fraction(3))]
+        report = _power_gap_report("c", [], iter(gaps), ((1, 2), (1, 2)))
+        assert report.verdict is Verdict.FALSIFIED
+        assert (report.failure_point, report.failure_norm) == ((1, 2), 1)
+        assert report.values == (("base gap norm", Fraction(1, 2)),)
+        unmet = _power_gap_report("c", [], iter(gaps[1:]), ((1, 2), (1, 2)))
+        assert unmet.verdict is Verdict.HYPOTHESIS_UNMET and unmet.failure_point is None
 
 
 class TestMeetBound:

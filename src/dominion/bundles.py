@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .core import MatrixOperator, MeasureSpace, rat
+from .core import MatrixOperator, MeasureSpace, rat, unlimited_int_digits
 from .theorems import CommutingFamily, DominatedPair
 
 __all__ = [
@@ -49,6 +49,7 @@ class BundleError(ValueError):
     """Malformed bundle input, with a location diagnostic."""
 
 
+@unlimited_int_digits
 def rational_str(q: Fraction) -> str:
     """Canonical rational rendering, always with an explicit denominator."""
     return f"{q.numerator}/{q.denominator}"
@@ -171,6 +172,7 @@ def _parse_rational(raw: object, where: str) -> Fraction:
     return value
 
 
+@unlimited_int_digits
 def parse_bundle(text: str) -> OperatorBundle:
     try:
         doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_object)
@@ -244,6 +246,7 @@ def parse_bundle(text: str) -> OperatorBundle:
     )
 
 
+@unlimited_int_digits
 def emit_bundle(bundle: OperatorBundle) -> str:
     doc = {
         "space": {"weights": [rational_str(w) for w in bundle.space.weights]},
@@ -274,31 +277,23 @@ def save_bundle(bundle: OperatorBundle, path: str) -> None:
 # -- builders used by sweeps and the example command ---------------------------
 
 
+def _bundle(operators: dict[str, MatrixOperator], params: dict | None) -> OperatorBundle:
+    """A bundle on the first operator's space whose operators each fill the
+    role of their own name."""
+    space = next(iter(operators.values())).space
+    return OperatorBundle(space, operators, {name: name for name in operators}, dict(params or {}))
+
+
 def bundle_for_pair(pair: DominatedPair, params: dict | None = None) -> OperatorBundle:
-    return OperatorBundle(
-        space=pair.s.space,
-        operators={"S": pair.s, "T": pair.t},
-        roles={"S": "S", "T": "T"},
-        params=dict(params or {}),
-    )
+    return _bundle({"S": pair.s, "T": pair.t}, params)
 
 
 def bundle_for_family(family: CommutingFamily, params: dict | None = None) -> OperatorBundle:
     operators: dict[str, MatrixOperator] = {}
-    roles: dict[str, str] = {}
     for i, pair in enumerate(family.pairs, start=1):
         operators[f"S{i}"] = pair.s
         operators[f"T{i}"] = pair.t
-        roles[f"S{i}"] = f"S{i}"
-        roles[f"T{i}"] = f"T{i}"
-    merged = {"n0": list(family.base_exponents)}
-    merged.update(params or {})
-    return OperatorBundle(
-        space=family.pairs[0].s.space,
-        operators=operators,
-        roles=roles,
-        params=merged,
-    )
+    return _bundle(operators, {"n0": list(family.base_exponents), **(params or {})})
 
 
 def bundle_for_damped(
@@ -307,14 +302,7 @@ def bundle_for_damped(
     params: dict | None = None,
     s: MatrixOperator | None = None,
 ) -> OperatorBundle:
-    operators = {"Z": z, "T": t}
-    roles = {"Z": "Z", "T": "T"}
+    operators = {"T": t, "Z": z}
     if s is not None:
         operators["S"] = s
-        roles["S"] = "S"
-    return OperatorBundle(
-        space=t.space,
-        operators=operators,
-        roles=roles,
-        params=dict(params or {}),
-    )
+    return _bundle(operators, params)

@@ -5,13 +5,15 @@ search exhaustion, which makes no claim either way), 3 input error.
 
 Exact values grow past CPython's default limit of 4300 digits for
 converting integers to and from strings (a trace at a high power, say).
-``main`` lifts that limit while it runs and restores the caller's setting
-on return, so no valid input fails on the size of its exact results.
+``main`` lifts that limit while it runs (``core.unlimited_int_digits``)
+and restores the caller's setting on return, so no valid input fails on
+the size of its exact results.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .bundles import (
     rational_str,
     save_bundle,
 )
-from .core import ConvergenceError, MatrixOperator, SpaceMismatchError, lp_operator_norm, rat
+from .core import ConvergenceError, MatrixOperator, lp_operator_norm, unlimited_int_digits
 from .gallery import p_norm_gap_pair, shear_trio, unit_gap_pair
 from .sweeps import (
     sweep_dominated_powers,
@@ -78,13 +80,17 @@ def _fmt(q: Fraction) -> str:
     return f"{rational_str(q)} ({decimal_str(q)})"
 
 
-def _print_report(report: VerdictReport) -> None:
-    print(f"command: {report.command}")
-    print("hypotheses:")
-    for h in report.hypotheses:
+def _print_hypotheses(hypotheses) -> None:
+    for h in hypotheses:
         mark = "ok  " if h.holds else "FAIL"
         suffix = f"   {h.detail}" if h.detail else ""
         print(f"  [{mark}] {h.name}{suffix}")
+
+
+def _print_report(report: VerdictReport) -> None:
+    print(f"command: {report.command}")
+    print("hypotheses:")
+    _print_hypotheses(report.hypotheses)
     if report.ranges:
         spans = ", ".join(f"{lo}..{hi}" for lo, hi in report.ranges)
         print(f"conclusion range: {spans}")
@@ -161,9 +167,10 @@ def _identity_or_role(bundle: OperatorBundle, role: str) -> MatrixOperator:
 
 def _cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
-    if args.statement == "pair-product":
+    if args.statement in ("pair-product", "damped-powers"):
         n0 = args.n0 if args.n0 is not None else bundle.param_int("n0", 1)
-        n_max = args.n_max_int(default=max(n0, 20))
+        n_max = _n_max_int(args, max(n0, 20))
+    if args.statement == "pair-product":
         report = check_pair_product(
             bundle.operator_for_role("T1"),
             bundle.operator_for_role("T2"),
@@ -173,8 +180,6 @@ def _cmd_check(args) -> int:
             n_max,
         )
     elif args.statement == "damped-powers":
-        n0 = args.n0 if args.n0 is not None else bundle.param_int("n0", 1)
-        n_max = args.n_max_int(default=max(n0, 20))
         report = check_damped_powers(
             _identity_or_role(bundle, "Z"),
             bundle.operator_for_role("S"),
@@ -214,7 +219,7 @@ def _cmd_trace(args) -> int:
         bundle.operator_for_role("T"),
         k,
         d,
-        args.n_max_int(default=20),
+        _n_max_int(args, 20),
     )
     lines = ["n,norm_exact,norm_decimal"]
     for n, norm in trace.records:
@@ -246,81 +251,56 @@ def _check_line_float(label: str, expected: float, computed: float, tol: float) 
 
 
 def _cmd_example(args) -> int:
-    report_stream = sys.stdout if args.out else sys.stderr
     ok = True
-    if args.which == "1":
-        u = rat(args.u if args.u is not None else "1/2")
-        v = rat(args.v if args.v is not None else "1/2")
-        lam = rat(args.lam if args.lam is not None else "1/4")
-        trio = shear_trio(u, v, lam)
-        bundle = OperatorBundle(
-            space=trio.space,
-            operators={"Z": trio.z, "S": trio.s, "T": trio.t},
-            roles={"Z": "Z", "S": "S", "T": "T"},
-            params={"u": rational_str(u), "v": rational_str(v), "lambda": rational_str(lam)},
-        )
-        with _redirect(report_stream):
+    # The regression lines go to stderr when stdout carries the bundle.
+    with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
+        if args.which == "1":
+            u = _rational_flag(args.u, "--u")
+            v = _rational_flag(args.v, "--v")
+            lam = _rational_flag(args.lam, "--lambda")
+            trio = shear_trio(u, v, lam)
+            params = {"u": rational_str(u), "v": rational_str(v), "lambda": rational_str(lam)}
+            bundle = bundle_for_damped(trio.z, trio.t, params=params, s=trio.s)
             ok &= _check_line("|Z|", trio.z_norm, trio.z.norm())
             ok &= _check_line("|S|", trio.s_norm, trio.s.norm())
             ok &= _check_line("|T|", trio.t_norm, trio.t.norm())
             ok &= _check_line(
                 "|Z(S-T)|", trio.damped_gap_norm, (trio.z @ (trio.s - trio.t)).norm()
             )
-    elif args.which == "2":
-        pair = unit_gap_pair()
-        bundle = OperatorBundle(
-            space=pair.space,
-            operators={"S": pair.s, "T": pair.t},
-            roles={
-                "S": "S", "T": "T",
-                "S1": "S", "T1": "T", "S2": "S", "T2": "T",
-            },
-            params={},
-        )
-        gap = (pair.s - pair.t).norm()
-        squared = (pair.s @ pair.s - pair.t @ pair.t).norm()
-        with _redirect(report_stream):
+        elif args.which == "2":
+            pair = unit_gap_pair()
+            bundle = OperatorBundle(
+                space=pair.space,
+                operators={"S": pair.s, "T": pair.t},
+                roles={
+                    "S": "S", "T": "T",
+                    "S1": "S", "T1": "T", "S2": "S", "T2": "T",
+                },
+                params={},
+            )
+            gap = (pair.s - pair.t).norm()
+            squared = (pair.s @ pair.s - pair.t @ pair.t).norm()
             ok &= _check_line("|S|", pair.s_norm, pair.s.norm())
             ok &= _check_line("|T|", pair.t_norm, pair.t.norm())
             ok &= _check_line("|S-T|", pair.gap_norm, gap)
             ok &= _check_line("|S^2-T^2|", pair.squared_gap_norm, squared)
-    else:  # lp
-        p = args.p if args.p is not None else 2.0
-        pair = p_norm_gap_pair()
-        bundle = OperatorBundle(
-            space=pair.space,
-            operators={"S": pair.s, "T": pair.t},
-            roles={"S": "S", "T": "T"},
-            params={},
-        )
-        gap = lp_operator_norm(pair.s - pair.t, p)
-        squared = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, p)
-        with _redirect(report_stream):
-            if p == 2.0:
+        else:  # lp
+            pair = p_norm_gap_pair()
+            bundle = bundle_for_pair(DominatedPair(s=pair.s, t=pair.t))
+            gap = lp_operator_norm(pair.s - pair.t, args.p)
+            squared = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, args.p)
+            if args.p == 2.0:
                 ok &= _check_line_float("|S-T|_2", pair.gap_l2, gap, 1e-6)
                 ok &= _check_line_float("|S^2-T^2|_2", pair.squared_gap_l2, squared, 1e-9)
             else:
-                print(f"|S-T|_{p:g} = {gap:.12g}")
-                print(f"|S^2-T^2|_{p:g} = {squared:.12g}")
+                print(f"|S-T|_{args.p:g} = {gap:.12g}")
+                print(f"|S^2-T^2|_{args.p:g} = {squared:.12g}")
             ok &= _check_line("|S-T|_1 (contrast)", pair.gap_l1, (pair.s - pair.t).norm())
     if args.out:
         save_bundle(bundle, args.out)
     else:
         sys.stdout.write(emit_bundle(bundle))
     return EXIT_VERIFIED if ok else EXIT_FALSIFIED
-
-
-class _redirect:
-    def __init__(self, stream):
-        self.stream = stream
-
-    def __enter__(self):
-        self.saved = sys.stdout
-        sys.stdout = self.stream
-
-    def __exit__(self, *exc):
-        sys.stdout = self.saved
-        return False
 
 
 def _dump_failure(kind: str, failure, out_dir: str | None) -> str:
@@ -340,27 +320,26 @@ def _dump_failure(kind: str, failure, out_dir: str | None) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    count = args.count if args.count is not None else 20
-    seed0 = args.seed if args.seed is not None else 0
     if args.kind == "dominated-powers":
         result = sweep_dominated_powers(
-            count,
+            args.count,
             n=args.n,
-            n_max=args.n_max_int(default=50),
-            seed0=seed0,
+            n_max=_n_max_int(args, 50),
+            seed0=args.seed,
         )
     elif args.kind == "pair-product":
         result = sweep_pair_product(
-            count,
+            args.count,
             n=args.n,
-            n_max=args.n_max_int(default=30),
-            seed0=seed0,
+            n_max=_n_max_int(args, 30),
+            seed0=args.seed,
         )
     else:  # meet-bound
-        result = sweep_meet_bound(count, n=args.n, seed0=seed0)
+        result = sweep_meet_bound(args.count, n=args.n, seed0=args.seed)
+    last_seed = args.seed + result.seeds_consumed - 1
     print(
         f"{result.kind} sweep: {result.passed}/{result.requested} passed "
-        f"({result.skipped} premise-skipped, seeds {seed0}..{seed0 + result.seeds_consumed - 1})"
+        f"({result.skipped} premise-skipped, seeds {args.seed}..{last_seed})"
     )
     for failure in result.failures:
         line = f"FAILURE seed {failure.seed}: {failure.description}"
@@ -381,7 +360,7 @@ def _cmd_certify(args) -> int:
     m = args.m if args.m is not None else bundle.param_int("m", 0)
     k = args.k if args.k is not None else bundle.param_int("k", 1)
     epsilon = (
-        rat(args.epsilon)
+        _rational_flag(args.epsilon, "--epsilon")
         if args.epsilon is not None
         else bundle.param_rational("epsilon", Fraction(1, 10))
     )
@@ -395,10 +374,7 @@ def _cmd_certify(args) -> int:
         n0_cap=args.n0_cap,
     )
     print(f"command: {search.command}")
-    for h in search.hypotheses:
-        mark = "ok  " if h.holds else "FAIL"
-        suffix = f"   {h.detail}" if h.detail else ""
-        print(f"  [{mark}] {h.name}{suffix}")
+    _print_hypotheses(search.hypotheses)
     if search.certificate is not None:
         d, n0 = search.certificate
         print(f"certificate: d = {d}, n0 = {n0}, norm there {_fmt(search.achieved_norm)}")
@@ -424,6 +400,13 @@ def _n_max_int(args, default: int) -> int:
         return int(args.n_max)
     except ValueError:
         raise CliInputError(f"--n-max: expected an integer, got {args.n_max!r}") from None
+
+
+def _rational_flag(raw: str, flag: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise CliInputError(f"{flag}: expected a rational p/q with q != 0, got {raw!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -459,17 +442,17 @@ def build_parser() -> _Parser:
 
     example = sub.add_parser("example", help="emit a gallery bundle with its regression check")
     example.add_argument("which", choices=["1", "2", "lp"])
-    example.add_argument("--u", default=None)
-    example.add_argument("--v", default=None)
-    example.add_argument("--lambda", dest="lam", default=None)
-    example.add_argument("--p", type=float, default=None)
+    example.add_argument("--u", default="1/2")
+    example.add_argument("--v", default="1/2")
+    example.add_argument("--lambda", dest="lam", default="1/4")
+    example.add_argument("--p", type=float, default=2.0)
     example.add_argument("--out", default=None)
     example.set_defaults(func=_cmd_example)
 
     sweep = sub.add_parser("sweep", help="run a seeded random property sweep")
     sweep.add_argument("kind", choices=["dominated-powers", "pair-product", "meet-bound"])
-    sweep.add_argument("--count", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--count", type=int, default=20)
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--n", type=int, default=4)
     _add_n_max(sweep)
     sweep.add_argument("--out", default=None, help="directory for failure replay bundles")
@@ -489,41 +472,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@unlimited_int_digits
 def main(argv: list[str] | None = None) -> int:
-    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
-        return _main(argv)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return args.func(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    args.n_max_int = lambda default: _n_max_int(args, default)
-    try:
-        return args.func(args)
     except HypothesisViolation as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS_UNMET
-    except (
-        BundleError,
-        CliInputError,
-        GridCapExceeded,
-        SpaceMismatchError,
-        ConvergenceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # BundleError and SpaceMismatchError are ValueErrors.
+    except (CliInputError, GridCapExceeded, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -22,15 +22,17 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Union
 
 __all__ = [
     "Rational",
     "RationalLike",
     "rat",
+    "unlimited_int_digits",
     "SpaceMismatchError",
     "ConvergenceError",
     "InternalConsistencyError",
@@ -83,6 +85,27 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def unlimited_int_digits(func):
+    """Run ``func`` with CPython's int-string digit limit (4300 by default)
+    lifted and the caller's setting restored on return, so exact values of
+    any size print and parse. A Python without the limit runs ``func`` as is.
+    The limit is interpreter-wide: other threads see it lifted meanwhile.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return func
+
+    @wraps(func)
+    def lifted(*args, **kwargs):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    return lifted
 
 
 @dataclass(frozen=True)
@@ -335,12 +358,6 @@ class MatrixOperator:
         g = math.gcd(da, db)
         return _scaled(self.num, db // g), _scaled(other.num, da // g), da // g * db
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MatrixOperator) -> MatrixOperator:
@@ -582,7 +599,7 @@ def lp_operator_norm(
     if an ascent fails to settle within ``max_iter`` sweeps a
     :class:`ConvergenceError` names the cap.
     """
-    if p <= 1:
+    if not p > 1:  # also rejects NaN
         raise ValueError("p must exceed 1")
     if tol <= 0:
         raise ValueError("tol must be positive")

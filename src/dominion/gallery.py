@@ -227,6 +227,14 @@ def sigma_max_uniform_2x2(a: MatrixOperator) -> float:
 # -- seeded random generators --------------------------------------------------
 
 
+def _seeded(seed: int, n: int, denom_cap: int | None) -> tuple[Random, int]:
+    """Check the point count ``n``; return the seed's generator and the cap
+    on drawn denominators (``denom_cap``, else :func:`denominator_cap`)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Random(seed), denom_cap if denom_cap is not None else denominator_cap()
+
+
 def random_rational(rng: Random, cap: int) -> Fraction:
     """Uniform-ish rational in [0, 1] with denominator at most ``cap``."""
     den = rng.randint(1, cap)
@@ -278,10 +286,7 @@ def random_positive_contraction(
     space: MeasureSpace | None = None,
 ) -> MatrixOperator:
     """Deterministic positive contraction on a random (or given) space."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = Random(seed)
-    cap = denom_cap if denom_cap is not None else denominator_cap()
+    rng, cap = _seeded(seed, n, denom_cap)
     if space is None:
         space = random_space(rng, n)
     return _positive_contraction(rng, space, density, cap)
@@ -294,10 +299,7 @@ def random_signed_operator(
     space: MeasureSpace | None = None,
 ) -> MatrixOperator:
     """Deterministic operator with entries of both signs in [-1, 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = Random(seed)
-    cap = denom_cap if denom_cap is not None else denominator_cap()
+    rng, cap = _seeded(seed, n, denom_cap)
     if space is None:
         space = random_space(rng, n)
     rows = tuple(
@@ -320,12 +322,9 @@ def random_dominated_pair(
     positive matrix and T damps S entrywise by random factors in [0, 1],
     which guarantees 0 <= T <= S and both contraction properties exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    rng = Random(seed)
-    cap = denom_cap if denom_cap is not None else denominator_cap()
+    rng, cap = _seeded(seed, n, denom_cap)
     space = random_space(rng, n)
     s = _positive_contraction(rng, space, density, cap)
     damping = MatrixOperator(space, tuple(
@@ -352,12 +351,9 @@ def random_commuting_family(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    rng = Random(seed)
-    cap = denom_cap if denom_cap is not None else denominator_cap()
+    rng, cap = _seeded(seed, n, denom_cap)
     space = random_space(rng, n)
     base = _positive_contraction(rng, space, 1.0, cap)
     base_powers = [MatrixOperator.identity(space)]

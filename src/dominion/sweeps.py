@@ -9,7 +9,6 @@ replay.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
@@ -26,6 +25,7 @@ from .theorems import (
     DominatedPair,
     Verdict,
     VerdictReport,
+    _exact,
     _first_failure,
     _power_products,
     check_family_grid,
@@ -115,6 +115,8 @@ def sweep_dominated_powers(
 ) -> SweepResult:
     """Random dominated pairs with gap norm strictly below one must keep
     |S^j - T^j| strictly below one for every j up to n_max, exactly."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
 
     def check(pair: DominatedPair) -> tuple[Verdict, str]:
         if pair.gap_norm() >= 1:
@@ -124,7 +126,7 @@ def sweep_dominated_powers(
         if failure is None:
             return Verdict.VERIFIED, ""
         (j,), gap = failure
-        return Verdict.FALSIFIED, f"gap norm {gap} at power {j}"
+        return Verdict.FALSIFIED, f"gap norm {_exact(gap)} at power {j}"
 
     return _sweep(
         "dominated-powers",
@@ -136,7 +138,8 @@ def sweep_dominated_powers(
 
 
 def _report_outcome(report: VerdictReport, where: str) -> tuple[Verdict, str]:
-    return report.verdict, f"gap norm {report.failure_norm} at {where} {report.failure_point}"
+    description = f"gap norm {_exact(report.failure_norm)} at {where} {report.failure_point}"
+    return report.verdict, description
 
 
 def sweep_pair_product(
@@ -218,31 +221,19 @@ def meet_bound_instance(
     rng.shuffle(perm)
     z = MatrixOperator.permutation(space, tuple(perm))
     raw = random_positive_contraction(rng.randrange(2**30), n, denom_cap=denom_cap, space=space)
-    order = _permutation_order(tuple(perm))
+    identity = MatrixOperator.identity(space)
+    inverse = z.adjoint()  # permutation inverse equals its transpose on uniform weights
     conjugate = raw
     total = raw
-    inverse = z.adjoint()  # permutation inverse equals its transpose on uniform weights
-    for _ in range(order - 1):
+    z_power = z
+    order = 1
+    while z_power != identity:  # sum Z^j raw Z^-j until Z^order is the identity
         conjugate = z @ conjugate @ inverse
         total = total + conjugate
+        z_power = z_power @ z
+        order += 1
     t = total / order
     return z, t, m, k
-
-
-def _permutation_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
 
 
 def sweep_meet_bound(
@@ -256,7 +247,7 @@ def sweep_meet_bound(
     def check(instance) -> tuple[Verdict, str]:
         z, t, m, k = instance
         report = check_meet_bound(z, t, m, k)
-        return report.verdict, f"conclusion norm {report.failure_norm} (m={m}, k={k})"
+        return report.verdict, f"conclusion norm {_exact(report.failure_norm)} (m={m}, k={k})"
 
     return _sweep(
         "meet-bound",

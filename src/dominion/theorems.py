@@ -30,6 +30,7 @@ from .core import (
     RationalLike,
     commutes,
     rat,
+    unlimited_int_digits,
 )
 
 __all__ = [
@@ -276,11 +277,18 @@ class CertificateSearch:
 # -- shared hypothesis helpers ------------------------------------------------
 
 
+@unlimited_int_digits
+def _exact(value: object) -> str:
+    """``str(value)`` for detail and command strings, whatever the size of
+    the exact numbers in it."""
+    return str(value)
+
+
 def _positive_contraction_checks(name: str, op: MatrixOperator) -> list[HypothesisCheck]:
     nrm = op.norm()
     return [
         HypothesisCheck(f"{name} positive", op.is_positive()),
-        HypothesisCheck(f"{name} contraction", nrm <= 1, f"norm = {nrm}"),
+        HypothesisCheck(f"{name} contraction", nrm <= 1, f"norm = {_exact(nrm)}"),
     ]
 
 
@@ -296,19 +304,11 @@ def _damping_hypotheses(
     premise = (z @ (t_high - t_low)).norm()
     return [
         HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
-        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {z.norm()}"),
+        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {_exact(z.norm())}"),
         HypothesisCheck("Z T = T Z", commutes(z, t)),
         *_positive_contraction_checks("T", t),
-        HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {premise}"),
+        HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {_exact(premise)}"),
     ], premise
-
-
-def _report_for(
-    command: str,
-    hypotheses: Sequence[HypothesisCheck],
-    **kwargs,
-) -> VerdictReport:
-    return VerdictReport(command=command, hypotheses=tuple(hypotheses), **kwargs)
 
 
 # -- power-gap persistence checkers -------------------------------------------
@@ -391,15 +391,15 @@ def _power_gap_report(
     """Take the first gap as the base gap norm and append it to the
     hypotheses; if they all hold, check the remaining gaps over ``ranges``."""
     _, base = next(gaps)
-    hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {base}"))
+    hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {_exact(base)}"))
     values = (("base gap norm", base),)
     if not all(h.holds for h in hyps):
-        return _report_for(command, hyps, verdict=Verdict.HYPOTHESIS_UNMET, values=values)
+        return VerdictReport(command, hyps, Verdict.HYPOTHESIS_UNMET, values=values)
     point, gap = _first_failure(gaps) or (None, None)
-    return _report_for(
+    return VerdictReport(
         command,
         hyps,
-        verdict=Verdict.VERIFIED if point is None else Verdict.FALSIFIED,
+        Verdict.VERIFIED if point is None else Verdict.FALSIFIED,
         ranges=ranges,
         guarantee=PREFIX_ONLY,
         values=values,
@@ -545,27 +545,21 @@ def check_meet_bound(
     t_high = t ** (m + k)
     t_low = t**m
     hyps, premise = _damping_hypotheses(z, t, t_high, t_low)
+    report = functools.partial(VerdictReport, command, tuple(hyps))
     if not all(h.holds for h in hyps):
-        return _report_for(
-            command,
-            hyps,
-            verdict=Verdict.HYPOTHESIS_UNMET,
-            values=(("premise norm", premise),),
-        )
+        return report(Verdict.HYPOTHESIS_UNMET, values=(("premise norm", premise),))
 
     conclusion = (z @ (t_high - operator_meet(t_high, t_low))).norm()
     values = (("premise norm", premise), ("conclusion norm", conclusion))
     if conclusion >= 1:
-        return _report_for(
-            command,
-            hyps,
-            verdict=Verdict.FALSIFIED,
+        return report(
+            Verdict.FALSIFIED,
             values=values,
             failure_point=(m, k),
             failure_norm=conclusion,
             notes=(INTERNAL_INCONSISTENCY_NOTE,),
         )
-    return _report_for(command, hyps, verdict=Verdict.VERIFIED, values=values)
+    return report(Verdict.VERIFIED, values=values)
 
 
 # -- decomposition machinery --------------------------------------------------
@@ -651,8 +645,8 @@ def averaging_defect(
     k_fold_ok = True
     for ell in range(1, ell_max + 1):
         r_pow = r_pow @ averaged_step
-        defect_k = (t_k @ r_pow - r_pow).norm()
-        defect_1 = (t @ r_pow - r_pow).norm()
+        defect_k = (t_k @ r_pow).distance(r_pow)
+        defect_1 = (t @ r_pow).distance(r_pow)
         if defect_k > k * defect_1:
             k_fold_ok = False
         rows.append(
@@ -665,6 +659,22 @@ def averaging_defect(
 
 
 # -- zero-two traces and certificates ----------------------------------------
+
+
+def _zero_two_norms(
+    z: MatrixOperator,
+    t: MatrixOperator,
+    k: int,
+    d: int,
+    n_max: int,
+) -> Iterator[Fraction]:
+    """The zero-two walk: yield a_n = |Z^d (T^(n+k) - T^n)| for n = 0..n_max,
+    each difference operator the previous one multiplied by T on the left."""
+    current = (z**d) @ (t**k - MatrixOperator.identity(t.space))
+    yield current.norm()
+    for _ in range(n_max):
+        current = t @ current
+        yield current.norm()
 
 
 def zero_two_trace(
@@ -691,13 +701,8 @@ def zero_two_trace(
         if not op.is_positive() or not op.is_contraction():
             raise HypothesisViolation(f"{name} must be a positive contraction")
 
-    identity = MatrixOperator.identity(t.space)
-    current = (z**d) @ (t**k - identity)
-    records = [(0, current.norm())]
-    for n in range(1, n_max + 1):
-        current = t @ current
-        records.append((n, current.norm()))
-    return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=tuple(records))
+    records = tuple(enumerate(_zero_two_norms(z, t, k, d, n_max)))
+    return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=records)
 
 
 def find_epsilon_certificate(
@@ -727,7 +732,7 @@ def find_epsilon_certificate(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     z._require_same_space(t)
-    command = f"certificate(m={m}, k={k}, epsilon={eps})"
+    command = f"certificate(m={m}, k={k}, epsilon={_exact(eps)})"
 
     hyps, premise = _damping_hypotheses(z, t, t ** (m + k), t**m)
     search = functools.partial(
@@ -736,14 +741,8 @@ def find_epsilon_certificate(
     if not all(h.holds for h in hyps):
         return search(Verdict.HYPOTHESIS_UNMET)
 
-    identity = MatrixOperator.identity(t.space)
-    step = t**k - identity
     for d in range(1, d_cap + 1):
-        current = (z**d) @ step
-        for n in range(0, n0_cap + 1):
-            if n > 0:
-                current = t @ current
-            norm = current.norm()
+        for n, norm in enumerate(_zero_two_norms(z, t, k, d, n0_cap)):
             if norm < eps:
                 return search(
                     Verdict.VERIFIED,

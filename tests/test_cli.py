@@ -8,6 +8,7 @@ import pytest
 
 from dominion import (
     MatrixOperator,
+    Verdict,
     random_commuting_family,
     random_dominated_pair,
     random_positive_contraction,
@@ -26,6 +27,7 @@ from dominion.bundles import (
     save_bundle,
 )
 from dominion.cli import main
+from dominion.theorems import check_damped_powers, find_epsilon_certificate
 
 
 @pytest.fixture
@@ -336,6 +338,19 @@ class TestExampleCommand:
     def test_invalid_parameters(self, capsys):
         assert main(["example", "1", "--u", "2/3", "--v", "2/3"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--u", "--v", "--lambda"])
+    def test_zero_denominator_is_input_error(self, flag, capsys):
+        assert main(["example", "1", flag, "2/0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert "Traceback" not in err
+
+    def test_nan_exponent_is_input_error(self, capsys):
+        assert main(["example", "lp", "--p", "nan"]) == 3
+        captured = capsys.readouterr()
+        assert "p must exceed 1" in captured.err
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_small_sweeps_pass(self, capsys):
@@ -350,6 +365,13 @@ class TestSweepCommand:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("n_max", ["0", "-5"])
+    def test_n_max_below_one_is_input_error(self, n_max, capsys):
+        assert main(["sweep", "dominated-powers", "--count", "2", "--n-max", n_max]) == 3
+        captured = capsys.readouterr()
+        assert "n_max must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_pair_product_sweep(self, capsys):
         assert main(["sweep", "pair-product", "--count", "3", "--n", "3", "--n-max", "8"]) == 0
@@ -404,6 +426,12 @@ class TestCertifyCommand:
         assert code == 2
         assert "HYPOTHESIS_UNMET" in out
 
+    def test_zero_denominator_epsilon_is_input_error(self, averaging_bundle_path, capsys):
+        assert main(["certify", averaging_bundle_path, "--epsilon", "1/0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --epsilon: ")
+        assert captured.out == ""
+
     def test_exhaustion_exit(self, averaging_bundle_path, capsys):
         code = main([
             "certify", averaging_bundle_path,
@@ -412,3 +440,64 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "EXHAUSTED" in out
+
+
+def _lifted_str(value) -> str:
+    """``str(value)`` computed with the digit limit switched off."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+)
+class TestLibraryPastTheIntDigitLimit:
+    """Library render and parse paths print and read exact values of any
+    size at CPython's default limit, and leave that limit as they found it."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield sys.int_info.default_max_str_digits
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.fixture
+    def t(self):
+        return random_positive_contraction(5, 4, density=1.0, denom_cap=64)
+
+    def test_rational_str_of_a_high_power_entry(self, t, default_limit):
+        q = (t**900).entries[0][0]
+        with pytest.raises(ValueError):
+            str(q.denominator)
+        rendered = rational_str(q)
+        assert rendered == f"{_lifted_str(q.numerator)}/{_lifted_str(q.denominator)}"
+        assert len(rendered) > default_limit
+
+    def test_emit_and_parse_a_high_power(self, t):
+        high = t**900
+        bundle = bundle_for_damped(MatrixOperator.identity(t.space), high)
+        text = emit_bundle(bundle)
+        assert rational_str(high.entries[3][2]) in text
+        assert parse_bundle(text) == bundle
+
+    def test_certificate_command_with_a_long_epsilon(self, t):
+        epsilon = Fraction(1, 3**9100)
+        search = find_epsilon_certificate(
+            MatrixOperator.identity(t.space), t, 0, 1, epsilon, d_cap=1, n0_cap=3
+        )
+        assert search.command == f"certificate(m=0, k=1, epsilon={_lifted_str(epsilon)})"
+        assert search.verdict is Verdict.EXHAUSTED
+
+    def test_damped_powers_detail_of_a_high_power(self, t, default_limit):
+        report = check_damped_powers(MatrixOperator.identity(t.space), t, t / 2, 900, 900)
+        base = dict(report.values)["base gap norm"]
+        detail = report.hypotheses[-1].detail
+        assert detail == f"norm = {_lifted_str(base)}"
+        assert len(detail) > default_limit
+        assert report.verdict is Verdict.VERIFIED

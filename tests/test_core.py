@@ -427,6 +427,10 @@ class TestLpOperatorNorm:
         with pytest.raises(ValueError):
             lp_operator_norm(op, 2.0, tol=0.0)
 
+    def test_rejects_nan_exponent(self, two_point):
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            lp_operator_norm(MatrixOperator.identity(two_point), float("nan"))
+
 
 oracle_entries = st.one_of(
     st.just(Fraction(0)),

@@ -128,39 +128,55 @@ def _meet_instance(seed: int) -> OperatorBundle:
     return bundle_for_damped(z, t, params={"m": m, "k": k})
 
 
-# case name -> (bundle builder or None, dominion arguments; "{bundle}" is
+# case name -> (bundle builder or None, dominion command line; "{bundle}" is
 # replaced by the bundle's path)
 TRANSCRIPTS = {
-    "trace-averaging": (_averaging_s, ["trace", "{bundle}", "--n-max", "12"]),
-    "trace-random-7-k2-d1": (lambda: _random_trace(7), ["trace", "{bundle}", "--k", "2", "--n-max", "15"]),
-    "trace-meet-5-d3": (lambda: _meet_instance(5), ["trace", "{bundle}", "--k", "2", "--d", "3", "--n-max", "10"]),
-    "certify-found": (_averaging_s, ["certify", "{bundle}", "--epsilon", "1/100"]),
-    "certify-found-meet-5": (lambda: _meet_instance(5), ["certify", "{bundle}", "--epsilon", "1/50"]),
-    "certify-found-meet-1-d4": (lambda: _meet_instance(1), ["certify", "{bundle}", "--epsilon", "1/20", "--d-cap", "4", "--n0-cap", "3"]),
-    "certify-found-meet-10-d2": (lambda: _meet_instance(10), ["certify", "{bundle}", "--epsilon", "1/20", "--d-cap", "4", "--n0-cap", "3"]),
-    "certify-exhausted": (_averaging_s, ["certify", "{bundle}", "--epsilon", "1/100", "--d-cap", "2", "--n0-cap", "4"]),
-    "certify-exhausted-meet-5": (lambda: _meet_instance(5), ["certify", "{bundle}", "--epsilon", "1/20", "--d-cap", "4", "--n0-cap", "3"]),
-    "certify-hypothesis-unmet": (_flip, ["certify", "{bundle}", "--epsilon", "1/10"]),
-    "check-meet-bound-unit-gap": (_averaging_damped, ["check", "meet-bound", "{bundle}", "--m", "1", "--k", "2"]),
-    "check-meet-bound-unit-gap-json": (_averaging_damped, ["check", "meet-bound", "{bundle}", "--m", "1", "--k", "2", "--json"]),
-    "check-meet-bound-flip": (_flip, ["check", "meet-bound", "{bundle}"]),
-    "check-pair-product-random-11": (lambda: _random_family(11, 2), ["check", "pair-product", "{bundle}", "--n0", "2", "--n-max", "12"]),
-    "check-pair-product-unit-gap": (lambda: _unit_gap_quadruple({}), ["check", "pair-product", "{bundle}", "--n0", "1"]),
-    "check-damped-powers-shear-7-1-4": (lambda: _shear(7, 1, 4), ["check", "damped-powers", "{bundle}", "--n0", "3", "--n-max", "12"]),
-    "check-family-grid-random-29": (lambda: _random_family(29, 3, (1, 2, 1)), ["check", "family-grid", "{bundle}", "--n-max", "4,3,3"]),
-    "sweep-dominated-powers": (None, ["sweep", "dominated-powers", "--count", "6", "--n", "3", "--n-max", "12"]),
-    "sweep-pair-product": (None, ["sweep", "pair-product", "--count", "4", "--n", "3", "--n-max", "8", "--seed", "5"]),
-    "sweep-meet-bound": (None, ["sweep", "meet-bound", "--count", "9", "--seed", "7"]),
-    "example-1": (None, ["example", "1"]),
-    "example-1-params": (None, ["example", "1", "--u", "1/4", "--v", "3/4", "--lambda", "1/2"]),
-    "example-2": (None, ["example", "2"]),
-    "example-2-out": (None, ["example", "2", "--out", "{bundle}"]),
-    "example-lp": (None, ["example", "lp"]),
-    "example-lp-p3": (None, ["example", "lp", "--p", "3"]),
+    "trace-averaging": (_averaging_s, "trace {bundle} --n-max 12"),
+    "trace-random-7-k2-d1": (lambda: _random_trace(7), "trace {bundle} --k 2 --n-max 15"),
+    "trace-meet-5-d3": (lambda: _meet_instance(5), "trace {bundle} --k 2 --d 3 --n-max 10"),
+    "certify-found": (_averaging_s, "certify {bundle} --epsilon 1/100"),
+    "certify-found-meet-5": (lambda: _meet_instance(5), "certify {bundle} --epsilon 1/50"),
+    "certify-found-meet-1-d4": (
+        lambda: _meet_instance(1), "certify {bundle} --epsilon 1/20 --d-cap 4 --n0-cap 3"
+    ),
+    "certify-found-meet-10-d2": (
+        lambda: _meet_instance(10), "certify {bundle} --epsilon 1/20 --d-cap 4 --n0-cap 3"
+    ),
+    "certify-exhausted": (_averaging_s, "certify {bundle} --epsilon 1/100 --d-cap 2 --n0-cap 4"),
+    "certify-exhausted-meet-5": (
+        lambda: _meet_instance(5), "certify {bundle} --epsilon 1/20 --d-cap 4 --n0-cap 3"
+    ),
+    "certify-hypothesis-unmet": (_flip, "certify {bundle} --epsilon 1/10"),
+    "check-meet-bound-unit-gap": (_averaging_damped, "check meet-bound {bundle} --m 1 --k 2"),
+    "check-meet-bound-unit-gap-json": (
+        _averaging_damped, "check meet-bound {bundle} --m 1 --k 2 --json"
+    ),
+    "check-meet-bound-flip": (_flip, "check meet-bound {bundle}"),
+    "check-pair-product-random-11": (
+        lambda: _random_family(11, 2), "check pair-product {bundle} --n0 2 --n-max 12"
+    ),
+    "check-pair-product-unit-gap": (
+        lambda: _unit_gap_quadruple({}), "check pair-product {bundle} --n0 1"
+    ),
+    "check-damped-powers-shear-7-1-4": (
+        lambda: _shear(7, 1, 4), "check damped-powers {bundle} --n0 3 --n-max 12"
+    ),
+    "check-family-grid-random-29": (
+        lambda: _random_family(29, 3, (1, 2, 1)), "check family-grid {bundle} --n-max 4,3,3"
+    ),
+    "sweep-dominated-powers": (None, "sweep dominated-powers --count 6 --n 3 --n-max 12"),
+    "sweep-pair-product": (None, "sweep pair-product --count 4 --n 3 --n-max 8 --seed 5"),
+    "sweep-meet-bound": (None, "sweep meet-bound --count 9 --seed 7"),
+    "example-1": (None, "example 1"),
+    "example-1-params": (None, "example 1 --u 1/4 --v 3/4 --lambda 1/2"),
+    "example-2": (None, "example 2"),
+    "example-2-out": (None, "example 2 --out {bundle}"),
+    "example-lp": (None, "example lp"),
+    "example-lp-p3": (None, "example lp --p 3"),
 }
 for _meet_seed in range(6):
     TRANSCRIPTS[f"check-meet-bound-instance-{_meet_seed}-json"] = (
-        lambda s=_meet_seed: _meet_instance(s), ["check", "meet-bound", "{bundle}", "--json"]
+        lambda s=_meet_seed: _meet_instance(s), "check meet-bound {bundle} --json"
     )
 
 
@@ -181,13 +197,13 @@ def render(case: str, workdir: str) -> tuple[int, str]:
 
 def transcript(case: str, workdir: str) -> str:
     """Exit code, stdout and stderr of one ``TRANSCRIPTS`` command line."""
-    build, argv = TRANSCRIPTS[case]
+    build, command = TRANSCRIPTS[case]
     path = os.path.join(workdir, f"{case}.bundle")
     if build is not None:
         save_bundle(build(), path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([path if arg == "{bundle}" else arg for arg in argv])
+        code = main([path if arg == "{bundle}" else arg for arg in command.split()])
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 

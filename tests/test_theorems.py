@@ -27,7 +27,7 @@ from dominion import (
     unit_gap_pair,
     zero_two_trace,
 )
-from dominion.sweeps import sweep_dominated_powers, sweep_meet_bound
+from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.theorems import _grid_gaps, _power_gap_report, _power_products
 
 from conftest import ref_compose, ref_grid_gaps, ref_power
@@ -338,6 +338,18 @@ class TestAveragingDefect:
         report = averaging_defect(gap_pair.s, 3, 5)
         assert report.k_fold_bounded
 
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_defects_match_difference_operator_norms(self, seed):
+        t = random_positive_contraction(seed, 3, denom_cap=16)
+        averaged = (MatrixOperator.identity(t.space) + t) * Fraction(1, 2)
+        report = averaging_defect(t, 3, 5)
+        k_fold = True
+        for row in report.rows:
+            r_pow = averaged**row.ell
+            assert row.norm == (t**3 @ r_pow - r_pow).norm()
+            k_fold &= row.norm <= 3 * (t @ r_pow - r_pow).norm()
+        assert report.k_fold_bounded == k_fold
+
 
 class TestZeroTwoTrace:
     def test_geometric_decay_of_averaging_map(self, gap_pair, identity2):
@@ -421,7 +433,75 @@ class TestCertificateSearch:
                 assert search.verdict is Verdict.HYPOTHESIS_UNMET
 
 
+def _scan_traces(z, t, k, epsilon, d_cap, n0_cap):
+    """Reference certificate search: for d = 1..d_cap in order, the first
+    index of ``zero_two_trace(z, t, k, d, n0_cap)`` below epsilon."""
+    for d in range(1, d_cap + 1):
+        trace = zero_two_trace(z, t, k, d, n0_cap)
+        n = trace.first_below(epsilon)
+        if n is not None:
+            return (d, n), trace.records[n][1]
+    return None, None
+
+
+def _certificate_cases():
+    pair = unit_gap_pair()
+    identity = MatrixOperator.identity(pair.space)
+    flip = MatrixOperator.permutation(pair.space, (1, 0))
+    cases = []
+    # a_1 = 1/6 for the unit-gap S: the search needs a_n strictly below epsilon.
+    settings = (("1/100", 8, 40), ("1/100", 2, 5), ("1/6", 1, 5), ("1/2", 1, 0), ("2", 1, 3))
+    for t in (pair.s, pair.t):
+        for epsilon, d_cap, n0_cap in settings:
+            cases.append((identity, t, 0, 1, epsilon, d_cap, n0_cap))
+    # The flip fails the premise at k = 1; at k = 2 its trace is zero.
+    cases.append((identity, flip, 0, 1, "1/10", 2, 4))
+    cases.append((identity, flip, 1, 2, "1/10", 2, 4))
+    for seed in range(12):
+        z, t, m, k = meet_bound_instance(seed, 3, denom_cap=64)
+        for epsilon in ("1/5", "1/20"):
+            cases.append((z, t, m, k, epsilon, 4, 3))
+    return cases
+
+
+class TestCertificateMatchesTraceScan:
+    """``find_epsilon_certificate`` must return the first (d, n0) that the
+    d-ordered scan of ``zero_two_trace(...).first_below`` finds."""
+
+    @pytest.mark.parametrize("case", _certificate_cases())
+    def test_search_equals_scan(self, case):
+        z, t, m, k, epsilon, d_cap, n0_cap = case
+        search = find_epsilon_certificate(z, t, m, k, epsilon, d_cap=d_cap, n0_cap=n0_cap)
+        if search.verdict is Verdict.HYPOTHESIS_UNMET:
+            assert any(not h.holds for h in search.hypotheses)
+            assert search.certificate is None
+            return
+        certificate, norm = _scan_traces(z, t, k, Fraction(epsilon), d_cap, n0_cap)
+        assert search.certificate == certificate
+        assert search.achieved_norm == norm
+        expected = Verdict.EXHAUSTED if certificate is None else Verdict.VERIFIED
+        assert search.verdict is expected
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for z, t, m, k, epsilon, d_cap, n0_cap in _certificate_cases():
+            search = find_epsilon_certificate(z, t, m, k, epsilon, d_cap=d_cap, n0_cap=n0_cap)
+            d = search.certificate[0] if search.certificate else None
+            outcomes.add((search.verdict, d is not None and d > 1))
+        assert outcomes == {
+            (Verdict.VERIFIED, False),
+            (Verdict.VERIFIED, True),
+            (Verdict.EXHAUSTED, False),
+            (Verdict.HYPOTHESIS_UNMET, False),
+        }
+
+
 class TestDominatedPowersProperty:
+    def test_rejects_n_max_below_one(self):
+        for n_max in (0, -5):
+            with pytest.raises(ValueError, match="n_max"):
+                sweep_dominated_powers(2, n=3, n_max=n_max)
+
     def test_small_sweep_passes(self):
         result = sweep_dominated_powers(20, n=3, n_max=30, seed0=500)
         assert result.ok

@@ -19,26 +19,13 @@ from .core import (
     MeasureSpace,
     Rational,
     SpaceMismatchError,
-    apply,
-    commutes,
-    compose,
-    dominates,
-    is_contraction_l1,
-    is_positive,
-    l1_norm,
     lp_operator_norm,
-    operator_norm_l1,
-    power,
     rat,
-    vec_abs,
-    vec_join,
-    vec_meet,
 )
 from .gallery import (
     PNormGapPair,
     ShearTrio,
     UnitGapPair,
-    denominator_cap,
     p_norm_gap_pair,
     random_commuting_family,
     random_dominated_pair,

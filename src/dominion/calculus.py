@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    InternalConsistencyError,
-    L1Vector,
-    MatrixOperator,
-    vec_join,
-)
+from .core import InternalConsistencyError, L1Vector, MatrixOperator
 
 __all__ = [
     "operator_modulus",
@@ -80,7 +75,7 @@ class LatticeHomCertificate:
                 raise ValueError("a negative verdict needs a falsifying pair")
             x, y = self.counterexample
             z = self.operator
-            if z @ vec_join(x, y) == vec_join(z @ x, z @ y):
+            if z @ x.join(y) == (z @ x).join(z @ y):
                 raise InternalConsistencyError(
                     "claimed falsifying pair actually satisfies sup-preservation"
                 )

@@ -124,10 +124,11 @@ def _report_json(report: VerdictReport) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _family_from_bundle(bundle: OperatorBundle) -> CommutingFamily:
+def _family_from_bundle(args, bundle: OperatorBundle) -> CommutingFamily:
     pairs = []
     index = 1
-    while bundle.has_role(f"S{index}") and bundle.has_role(f"T{index}"):
+    # S_i without T_i (or the reverse) fails in operator_for_role, naming it.
+    while bundle.has_role(f"S{index}") or bundle.has_role(f"T{index}"):
         pairs.append(DominatedPair(
             s=bundle.operator_for_role(f"S{index}"),
             t=bundle.operator_for_role(f"T{index}"),
@@ -135,12 +136,21 @@ def _family_from_bundle(bundle: OperatorBundle) -> CommutingFamily:
         index += 1
     if not pairs:
         raise BundleError("family-grid needs roles S1/T1 (and onward)")
-    n0s = bundle.param_int_list("n0", (1,) * len(pairs))
-    if len(n0s) == 1 and len(pairs) > 1:
-        n0s = n0s * len(pairs)
-    if len(n0s) != len(pairs):
-        raise BundleError("params.n0: needs one entry per pair")
+    n0s = _base_exponents(args, bundle, len(pairs))
     return CommutingFamily(pairs=tuple(pairs), base_exponents=n0s)
+
+
+def _base_exponents(args, bundle: OperatorBundle, axes: int) -> tuple[int, ...]:
+    """One first exponent per axis: ``--n0`` if given, else ``params.n0``,
+    else 1. A single value is broadcast to every axis."""
+    if args.n0 is not None:
+        where, n0s = "--n0", _parse_axis_list(args.n0, axes, "--n0")
+    else:
+        where = "params.n0"
+        n0s = _broadcast(bundle.param_int_list("n0", (1,)), axes, where)
+    if min(n0s) < 1:
+        raise CliInputError(f"{where}: n0 must be >= 1, got {', '.join(map(str, n0s))}")
+    return n0s
 
 
 def _parse_axis_list(raw: str, axes: int, flag: str) -> tuple[int, ...]:
@@ -149,11 +159,21 @@ def _parse_axis_list(raw: str, axes: int, flag: str) -> tuple[int, ...]:
         values = tuple(int(p) for p in parts)
     except ValueError:
         raise CliInputError(f"{flag}: expected integers, got {raw!r}") from None
-    if len(values) == 1 and axes > 1:
+    return _broadcast(values, axes, flag)
+
+
+def _broadcast(values: tuple[int, ...], axes: int, where: str) -> tuple[int, ...]:
+    if len(values) == 1:
         values = values * axes
     if len(values) != axes:
-        raise CliInputError(f"{flag}: expected {axes} values, got {len(values)}")
+        raise CliInputError(f"{where}: expected {axes} values, got {len(values)}")
     return values
+
+
+def _setting(args, bundle: OperatorBundle, name: str, default, read=OperatorBundle.param_int):
+    """Flag ``--name`` if given, else the bundle's ``params[name]``, else ``default``."""
+    value = getattr(args, name)
+    return read(bundle, name, default) if value is None else value
 
 
 def _identity_or_role(bundle: OperatorBundle, role: str) -> MatrixOperator:
@@ -168,7 +188,7 @@ def _identity_or_role(bundle: OperatorBundle, role: str) -> MatrixOperator:
 def _cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
     if args.statement in ("pair-product", "damped-powers"):
-        n0 = args.n0 if args.n0 is not None else bundle.param_int("n0", 1)
+        (n0,) = _base_exponents(args, bundle, 1)
         n_max = _n_max_int(args, max(n0, 20))
     if args.statement == "pair-product":
         report = check_pair_product(
@@ -188,20 +208,18 @@ def _cmd_check(args) -> int:
             n_max,
         )
     elif args.statement == "family-grid":
-        family = _family_from_bundle(bundle)
+        family = _family_from_bundle(args, bundle)
         if args.n_max is not None:
             m_max = _parse_axis_list(args.n_max, family.size, "--n-max")
         else:
             m_max = tuple(n0 + 5 for n0 in family.base_exponents)
         report = check_family_grid(family, m_max)
     else:  # meet-bound
-        m = args.m if args.m is not None else bundle.param_int("m", 0)
-        k = args.k if args.k is not None else bundle.param_int("k", 1)
         report = check_meet_bound(
             _identity_or_role(bundle, "Z"),
             bundle.operator_for_role("T"),
-            m,
-            k,
+            _setting(args, bundle, "m", 0),
+            _setting(args, bundle, "k", 1),
         )
     if args.json:
         print(_report_json(report))
@@ -212,13 +230,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_trace(args) -> int:
     bundle = load_bundle(args.bundle)
-    k = args.k if args.k is not None else bundle.param_int("k", 1)
-    d = args.d if args.d is not None else bundle.param_int("d", 1)
     trace = zero_two_trace(
         _identity_or_role(bundle, "Z"),
         bundle.operator_for_role("T"),
-        k,
-        d,
+        _setting(args, bundle, "k", 1),
+        _setting(args, bundle, "d", 1),
         _n_max_int(args, 20),
     )
     lines = ["n,norm_exact,norm_decimal"]
@@ -255,11 +271,10 @@ def _cmd_example(args) -> int:
     # The regression lines go to stderr when stdout carries the bundle.
     with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
         if args.which == "1":
-            u = _rational_flag(args.u, "--u")
-            v = _rational_flag(args.v, "--v")
-            lam = _rational_flag(args.lam, "--lambda")
-            trio = shear_trio(u, v, lam)
-            params = {"u": rational_str(u), "v": rational_str(v), "lambda": rational_str(lam)}
+            trio = shear_trio(args.u, args.v, args.lam)
+            params = {
+                "u": rational_str(trio.u), "v": rational_str(trio.v), "lambda": rational_str(trio.lam)
+            }
             bundle = bundle_for_damped(trio.z, trio.t, params=params, s=trio.s)
             ok &= _check_line("|Z|", trio.z_norm, trio.z.norm())
             ok &= _check_line("|S|", trio.s_norm, trio.s.norm())
@@ -357,19 +372,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     bundle = load_bundle(args.bundle)
-    m = args.m if args.m is not None else bundle.param_int("m", 0)
-    k = args.k if args.k is not None else bundle.param_int("k", 1)
-    epsilon = (
-        _rational_flag(args.epsilon, "--epsilon")
-        if args.epsilon is not None
-        else bundle.param_rational("epsilon", Fraction(1, 10))
-    )
     search = find_epsilon_certificate(
         _identity_or_role(bundle, "Z"),
         bundle.operator_for_role("T"),
-        m,
-        k,
-        epsilon,
+        _setting(args, bundle, "m", 0),
+        _setting(args, bundle, "k", 1),
+        _setting(args, bundle, "epsilon", Fraction(1, 10), OperatorBundle.param_rational),
         d_cap=args.d_cap,
         n0_cap=args.n0_cap,
     )
@@ -402,11 +410,16 @@ def _n_max_int(args, default: int) -> int:
         raise CliInputError(f"--n-max: expected an integer, got {args.n_max!r}") from None
 
 
-def _rational_flag(raw: str, flag: str) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise CliInputError(f"{flag}: expected a rational p/q with q != 0, got {raw!r}") from None
+def _rational_flag(flag: str):
+    """argparse ``type`` of a rational flag: a bad value is an input error
+    that names the flag."""
+    def parse(raw: str) -> Fraction:
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise CliInputError(f"{flag}: expected a rational p/q with q != 0, got {raw!r}") from None
+
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -425,7 +438,8 @@ def build_parser() -> _Parser:
         choices=["pair-product", "damped-powers", "family-grid", "meet-bound"],
     )
     check.add_argument("bundle")
-    check.add_argument("--n0", type=int, default=None)
+    check.add_argument("--n0", default=None,
+                       help="first exponent (comma list for family-grid, one value broadcast)")
     _add_n_max(check)
     check.add_argument("--m", type=int, default=None)
     check.add_argument("--k", type=int, default=None)
@@ -442,9 +456,9 @@ def build_parser() -> _Parser:
 
     example = sub.add_parser("example", help="emit a gallery bundle with its regression check")
     example.add_argument("which", choices=["1", "2", "lp"])
-    example.add_argument("--u", default="1/2")
-    example.add_argument("--v", default="1/2")
-    example.add_argument("--lambda", dest="lam", default="1/4")
+    example.add_argument("--u", type=_rational_flag("--u"), default="1/2")
+    example.add_argument("--v", type=_rational_flag("--v"), default="1/2")
+    example.add_argument("--lambda", dest="lam", type=_rational_flag("--lambda"), default="1/4")
     example.add_argument("--p", type=float, default=2.0)
     example.add_argument("--out", default=None)
     example.set_defaults(func=_cmd_example)
@@ -464,7 +478,7 @@ def build_parser() -> _Parser:
     certify.add_argument("bundle")
     certify.add_argument("--m", type=int, default=None)
     certify.add_argument("--k", type=int, default=None)
-    certify.add_argument("--epsilon", default=None)
+    certify.add_argument("--epsilon", type=_rational_flag("--epsilon"), default=None)
     certify.add_argument("--d-cap", dest="d_cap", type=int, default=8)
     certify.add_argument("--n0-cap", dest="n0_cap", type=int, default=10_000)
     certify.set_defaults(func=_cmd_certify)

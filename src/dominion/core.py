@@ -39,18 +39,6 @@ __all__ = [
     "MeasureSpace",
     "L1Vector",
     "MatrixOperator",
-    "l1_norm",
-    "apply",
-    "compose",
-    "power",
-    "vec_meet",
-    "vec_join",
-    "vec_abs",
-    "is_positive",
-    "dominates",
-    "commutes",
-    "operator_norm_l1",
-    "is_contraction_l1",
     "lp_operator_norm",
 ]
 
@@ -180,17 +168,6 @@ class L1Vector:
             (w * abs(c) for w, c in zip(self.space.weights, self.coords)),
             Fraction(0),
         )
-
-    def lp_norm(self, p: float) -> float:
-        """Numeric weighted p-norm, used only by the approximate p > 1 path."""
-        total = sum(
-            float(w) * abs(float(c)) ** p
-            for w, c in zip(self.space.weights, self.coords)
-        )
-        return total ** (1.0 / p)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coords)
 
     def meet(self, other: L1Vector) -> L1Vector:
         self._require_same_space(other)
@@ -480,24 +457,6 @@ class MatrixOperator:
     def is_contraction(self) -> bool:
         return self.norm() <= 1
 
-    def adjoint(self) -> MatrixOperator:
-        """The weighted adjoint acting on the dual (sup-norm) side.
-
-        Entry (j, i) is ``mu_i * A_ij / mu_j``; its largest absolute row sum
-        reproduces the L1 norm of ``self`` exactly.
-        """
-        w = self.space._integer_weights
-        scale = math.lcm(*w)
-        num = tuple(
-            tuple(w_i * row[j] * (scale // w_j) for w_i, row in zip(w, self.num))
-            for j, w_j in enumerate(w)
-        )
-        return MatrixOperator._from_numerators(self.space, num, self.den * scale)
-
-    def max_abs_row_sum(self) -> Fraction:
-        """Exact induced sup-norm of the matrix (largest absolute row sum)."""
-        return Fraction(max(sum(map(abs, row)) for row in self.num), self.den)
-
     def __repr__(self) -> str:
         body = "; ".join(
             ", ".join(str(q) for q in row) for row in self.entries
@@ -523,64 +482,6 @@ def _scaled(num: Numerators, factor: int) -> Numerators:
     return tuple(tuple(p * factor for p in row) for row in num)
 
 
-# -- operation-style wrappers ----------------------------------------------
-
-
-def l1_norm(x: L1Vector) -> Fraction:
-    """Weighted absolute sum of a vector."""
-    return x.norm()
-
-
-def apply(t: MatrixOperator, x: L1Vector) -> L1Vector:
-    """Exact matrix-vector product."""
-    return t.apply(x)
-
-
-def compose(a: MatrixOperator, b: MatrixOperator) -> MatrixOperator:
-    """Exact operator product a . b."""
-    return a.compose(b)
-
-
-def power(t: MatrixOperator, n: int) -> MatrixOperator:
-    """Exact n-th power, with the zeroth power equal to the identity."""
-    return t**n
-
-
-def vec_meet(x: L1Vector, y: L1Vector) -> L1Vector:
-    """Coordinatewise minimum, the lattice infimum."""
-    return x.meet(y)
-
-
-def vec_join(x: L1Vector, y: L1Vector) -> L1Vector:
-    """Coordinatewise maximum, the lattice supremum."""
-    return x.join(y)
-
-
-def vec_abs(x: L1Vector) -> L1Vector:
-    """Coordinatewise absolute value."""
-    return abs(x)
-
-
-def is_positive(t: MatrixOperator) -> bool:
-    return t.is_positive()
-
-
-def dominates(s: MatrixOperator, t: MatrixOperator) -> bool:
-    return s.dominates(t)
-
-
-def commutes(a: MatrixOperator, b: MatrixOperator) -> bool:
-    return a.commutes_with(b)
-
-
-def operator_norm_l1(a: MatrixOperator) -> Fraction:
-    return a.norm()
-
-
-def is_contraction_l1(t: MatrixOperator) -> bool:
-    return t.is_contraction()
-
-
 # -- numeric p-norm maximization (p > 1) -------------------------------------
 
 
@@ -590,7 +491,7 @@ def lp_operator_norm(
     tol: float = 1e-9,
     max_iter: int = 500,
 ) -> float:
-    """Numeric approximation of the induced weighted p-norm for p > 1.
+    """Numeric approximation of the induced weighted p-norm for finite p > 1.
 
     Deterministic for fixed inputs. On two-point spaces the unit sphere is a
     one-parameter curve, so the maximum is located by dense sampling plus
@@ -599,8 +500,8 @@ def lp_operator_norm(
     if an ascent fails to settle within ``max_iter`` sweeps a
     :class:`ConvergenceError` names the cap.
     """
-    if not p > 1:  # also rejects NaN
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:  # also rejects NaN
+        raise ValueError("p must exceed 1 and be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = a.space.n
@@ -619,9 +520,12 @@ def _lp_norm_two_point(mat: list[list[float]], mu: list[float], p: float) -> flo
     def value(s: float, sign: float) -> float:
         x0 = (s / mu[0]) ** inv_p
         x1 = sign * ((1.0 - s) / mu[1]) ** inv_p
-        y0 = mat[0][0] * x0 + mat[0][1] * x1
-        y1 = mat[1][0] * x0 + mat[1][1] * x1
-        return (mu[0] * abs(y0) ** p + mu[1] * abs(y1) ** p) ** inv_p
+        y0 = abs(mat[0][0] * x0 + mat[0][1] * x1)
+        y1 = abs(mat[1][0] * x0 + mat[1][1] * x1)
+        # The p-sum of y scaled by its larger entry, as in _pnorm.
+        if y0 >= y1:
+            return y0 and y0 * (mu[0] + mu[1] * (y1 / y0) ** p) ** inv_p
+        return y1 * (mu[0] * (y0 / y1) ** p + mu[1]) ** inv_p
 
     best = 0.0
     grid = 2048
@@ -664,11 +568,10 @@ def _lp_norm_ascent(
     def matvec(m: list[list[float]], v: list[float]) -> list[float]:
         return [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
 
-    def pnorm(v: list[float], e: float) -> float:
-        return sum(abs(t) ** e for t in v) ** (1.0 / e)
-
     def dual_map(v: list[float], e: float) -> list[float]:
-        return [abs(t) ** (e - 1.0) * (1.0 if t >= 0 else -1.0) for t in v]
+        # Only the direction matters: the caller normalizes the result.
+        top = max(map(abs, v)) or 1.0
+        return [(abs(t) / top) ** (e - 1.0) * (1.0 if t >= 0 else -1.0) for t in v]
 
     rng = random.Random(1009)
     starts: list[list[float]] = []
@@ -680,7 +583,7 @@ def _lp_norm_ascent(
 
     best = 0.0
     for start in starts:
-        size = pnorm(start, p)
+        size = _pnorm(start, p)
         if size == 0.0:
             continue
         x = [t / size for t in start]
@@ -688,7 +591,7 @@ def _lp_norm_ascent(
         settled = False
         for _ in range(max_iter):
             y = matvec(b, x)
-            new_estimate = pnorm(y, p)
+            new_estimate = _pnorm(y, p)
             if new_estimate == 0.0:
                 estimate = 0.0
                 settled = True
@@ -699,12 +602,12 @@ def _lp_norm_ascent(
                 break
             estimate = new_estimate
             g = matvec(bt, dual_map(y, p))
-            g_size = pnorm(g, q)
+            g_size = _pnorm(g, q)
             if g_size == 0.0:
                 settled = True
                 break
             x = dual_map(g, q)
-            x_size = pnorm(x, p)
+            x_size = _pnorm(x, p)
             x = [t / x_size for t in x]
         if not settled:
             raise ConvergenceError(
@@ -712,3 +615,13 @@ def _lp_norm_ascent(
             )
         best = max(best, estimate)
     return best
+
+
+def _pnorm(v: list[float], p: float) -> float:
+    """``(sum_i |v_i|^p)^(1/p)``, with the powers taken of ``v`` scaled by its
+    largest absolute entry, so a large ``p`` neither overflows nor underflows
+    the sum to a wrong value."""
+    top = max(map(abs, v))
+    if top == 0.0:
+        return 0.0
+    return top * sum((abs(t) / top) ** p for t in v) ** (1.0 / p)

@@ -4,14 +4,14 @@ The fixed constructions live on two-point spaces and come with closed-form
 norms, so every exact computation in the engine can be validated against a
 hand calculation. The random generators build hypothesis-satisfying inputs
 (dominated contraction pairs, commuting families) deterministically from an
-integer seed; denominators of freshly drawn rationals stay below a
-configurable cap so entries remain small over long power iterations.
+integer seed; denominators of freshly drawn rationals stay below the
+``denom_cap`` argument (64 by default) so entries remain small over long
+power iterations.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -21,7 +21,6 @@ from .theorems import CommutingFamily, DominatedPair
 
 __all__ = [
     "DEFAULT_DENOMINATOR_CAP",
-    "denominator_cap",
     "ShearTrio",
     "shear_trio",
     "UnitGapPair",
@@ -38,20 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_DENOMINATOR_CAP = 64
-
-
-def denominator_cap() -> int:
-    """Denominator bound for freshly drawn rationals.
-
-    The DOMINION_DENOM_CAP environment variable overrides the default of 64.
-    """
-    raw = os.environ.get("DOMINION_DENOM_CAP")
-    if raw is None:
-        return DEFAULT_DENOMINATOR_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("DOMINION_DENOM_CAP must be a positive integer")
-    return cap
 
 
 # -- fixed worked constructions -----------------------------------------------
@@ -229,10 +214,10 @@ def sigma_max_uniform_2x2(a: MatrixOperator) -> float:
 
 def _seeded(seed: int, n: int, denom_cap: int | None) -> tuple[Random, int]:
     """Check the point count ``n``; return the seed's generator and the cap
-    on drawn denominators (``denom_cap``, else :func:`denominator_cap`)."""
+    on drawn denominators (``denom_cap``, else ``DEFAULT_DENOMINATOR_CAP``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Random(seed), denom_cap if denom_cap is not None else denominator_cap()
+    return Random(seed), denom_cap if denom_cap is not None else DEFAULT_DENOMINATOR_CAP
 
 
 def random_rational(rng: Random, cap: int) -> Fraction:

@@ -220,9 +220,9 @@ def meet_bound_instance(
     perm = list(range(n))
     rng.shuffle(perm)
     z = MatrixOperator.permutation(space, tuple(perm))
+    inverse = MatrixOperator.permutation(space, tuple(sorted(range(n), key=perm.__getitem__)))
     raw = random_positive_contraction(rng.randrange(2**30), n, denom_cap=denom_cap, space=space)
     identity = MatrixOperator.identity(space)
-    inverse = z.adjoint()  # permutation inverse equals its transpose on uniform weights
     conjugate = raw
     total = raw
     z_power = z

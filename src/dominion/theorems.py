@@ -28,7 +28,6 @@ from .core import (
     InternalConsistencyError,
     MatrixOperator,
     RationalLike,
-    commutes,
     rat,
     unlimited_int_digits,
 )
@@ -159,9 +158,9 @@ class CommutingFamily:
         if any(p.s.space != space for p in self.pairs):
             raise HypothesisViolation("family members live on different spaces")
         for i, j in itertools.combinations(range(len(self.pairs)), 2):
-            if not commutes(self.pairs[i].s, self.pairs[j].s):
+            if not self.pairs[i].s.commutes_with(self.pairs[j].s):
                 raise HypothesisViolation(f"S_{i + 1} and S_{j + 1} do not commute")
-            if not commutes(self.pairs[i].t, self.pairs[j].t):
+            if not self.pairs[i].t.commutes_with(self.pairs[j].t):
                 raise HypothesisViolation(f"T_{i + 1} and T_{j + 1} do not commute")
 
     @property
@@ -305,7 +304,7 @@ def _damping_hypotheses(
     return [
         HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
         HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {_exact(z.norm())}"),
-        HypothesisCheck("Z T = T Z", commutes(z, t)),
+        HypothesisCheck("Z T = T Z", z.commutes_with(t)),
         *_positive_contraction_checks("T", t),
         HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {_exact(premise)}"),
     ], premise
@@ -442,7 +441,7 @@ def check_pair_product(
         hyps.extend(_positive_contraction_checks(name, op))
     hyps.append(HypothesisCheck("S1 dominates T1", s1.dominates(t1)))
     hyps.append(HypothesisCheck("S2 dominates T2", s2.dominates(t2)))
-    hyps.append(HypothesisCheck("S1 S2 = S2 S1", commutes(s1, s2)))
+    hyps.append(HypothesisCheck("S1 S2 = S2 S1", s1.commutes_with(s2)))
     products = _power_products(s1 @ s2**n0, t1 @ t2**n0, s2, t2, n0, n_max)
     gaps = (((n,), a.distance(b)) for n, a, b in products)
     return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
@@ -469,7 +468,7 @@ def check_damped_powers(
     for name, op in (("Z", z), ("S", s), ("T", t)):
         hyps.extend(_positive_contraction_checks(name, op))
     hyps.append(HypothesisCheck("S dominates T", s.dominates(t)))
-    hyps.append(HypothesisCheck("Z S = S Z", commutes(z, s)))
+    hyps.append(HypothesisCheck("Z S = S Z", z.commutes_with(s)))
     products = _power_products(z @ s**n0, z @ t**n0, s, t, n0, n_max)
     gaps = (((n,), a.distance(b)) for n, a, b in products)
     return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
@@ -695,7 +694,7 @@ def zero_two_trace(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     z._require_same_space(t)
-    if not commutes(z, t):
+    if not z.commutes_with(t):
         raise HypothesisViolation("the damping operator must commute with the base")
     for name, op in (("Z", z), ("T", t)):
         if not op.is_positive() or not op.is_contraction():

@@ -5,7 +5,8 @@ bounded by sampling exact unit-sphere points, the operator modulus is
 recomputed from its defining supremum over sign patterns, and
 sup-preservation is re-decided behaviorally on vertex pairs. The ``ref_*``
 functions are a per-entry ``Fraction`` reference for the integer kernel of
-``MatrixOperator``.
+``MatrixOperator``; ``ref_dual_row_sum`` reaches the L1 norm through the
+dual side instead of the column sums.
 
 Hypothesis runs under the ``tier1`` profile: examples are derived from each
 test's source rather than a random seed, so every run checks the same
@@ -62,7 +63,7 @@ def exact_unit_sphere_points(space: MeasureSpace, rng: Random, count: int) -> li
 def modulus_sup_oracle(a: MatrixOperator, x: L1Vector) -> L1Vector:
     """Defining supremum of the modulus: coordinatewise maximum of A y over
     the extreme points y of the order interval [-x, x]."""
-    assert x.is_nonnegative()
+    assert all(c >= 0 for c in x.coords)
     best = None
     for signs in itertools.product((1, -1), repeat=a.space.n):
         y = L1Vector(a.space, tuple(s * c for s, c in zip(signs, x.coords)))
@@ -125,6 +126,21 @@ def ref_norm(weights: tuple[Fraction, ...], a: Rows) -> Fraction:
         sum((weights[i] * abs(a[i][j]) for i in range(n)), Fraction(0)) / weights[j]
         for j in range(n)
     )
+
+
+def ref_adjoint(weights: tuple[Fraction, ...], a: Rows) -> Rows:
+    """The weighted adjoint acting on the dual (sup-norm) side: entry
+    ``(j, i)`` is ``mu_i * A_ij / mu_j``."""
+    n = len(a)
+    return tuple(
+        tuple(weights[i] * a[i][j] / weights[j] for i in range(n)) for j in range(n)
+    )
+
+
+def ref_dual_row_sum(weights: tuple[Fraction, ...], a: Rows) -> Fraction:
+    """Largest absolute row sum of the weighted adjoint, the induced sup-norm
+    on the dual side, which equals the L1 operator norm by duality."""
+    return max(sum((abs(x) for x in row), Fraction(0)) for row in ref_adjoint(weights, a))
 
 
 def _entrywise(op, a: Rows, b: Rows) -> Rows:

@@ -229,6 +229,54 @@ class TestCheckCommand:
         save_bundle(bundle, str(path))
         assert main(["check", "family-grid", str(path), "--n-max", "3,3,3"]) == 0
 
+    @staticmethod
+    def _unit_gap_family(tmp_path, roles: dict, params: dict) -> str:
+        pair = unit_gap_pair()
+        bundle = OperatorBundle(
+            space=pair.space, operators={"S": pair.s, "T": pair.t}, roles=roles, params=params
+        )
+        path = tmp_path / "family.bundle"
+        save_bundle(bundle, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("extra, missing", [({"S3": "S"}, "T3"), ({"T3": "T"}, "S3")])
+    def test_family_grid_unpaired_role_is_input_error(self, tmp_path, capsys, extra, missing):
+        roles = {"S1": "S", "T1": "T", "S2": "S", "T2": "T", **extra}
+        path = self._unit_gap_family(tmp_path, roles, {"n0": 2})
+        assert main(["check", "family-grid", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: no operator fills role '{missing}'")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, n0s", [([], "[2, 2]"), (["--n0", "1"], "[1, 1]"), (["--n0", "3,1"], "[3, 1]")])
+    def test_family_grid_n0_flag_overrides_params(self, gap_bundle_path, capsys, flag, n0s):
+        # the bundle's params.n0 is 2
+        assert main(["check", "family-grid", gap_bundle_path, *flag, "--n-max", "4", "--json"]) == 0
+        command = json.loads(capsys.readouterr().out)["command"]
+        assert command == f"family-grid(n0={n0s}, m_max=[4, 4])"
+
+    @pytest.mark.parametrize("n0", [0, [2, 0], [-1]])
+    def test_family_grid_params_n0_below_one_is_input_error(self, tmp_path, capsys, n0):
+        roles = {"S1": "S", "T1": "T", "S2": "S", "T2": "T"}
+        path = self._unit_gap_family(tmp_path, roles, {"n0": n0})
+        assert main(["check", "family-grid", path]) == 3
+        assert capsys.readouterr().err.startswith("error: params.n0: n0 must be >= 1")
+
+    @pytest.mark.parametrize("statement, n0", [
+        ("family-grid", "0"), ("family-grid", "2,0"), ("pair-product", "0"), ("damped-powers", "-1"),
+    ])
+    def test_n0_flag_below_one_is_input_error(self, gap_bundle_path, capsys, statement, n0):
+        assert main(["check", statement, gap_bundle_path, "--n0", n0]) == 3
+        assert capsys.readouterr().err.startswith("error: --n0: n0 must be >= 1")
+
+    @pytest.mark.parametrize("n0, where", [("1,2,3", "--n0"), (None, "params.n0")])
+    def test_family_grid_n0_count_must_match_pairs(self, tmp_path, capsys, n0, where):
+        roles = {"S1": "S", "T1": "T", "S2": "S", "T2": "T"}
+        path = self._unit_gap_family(tmp_path, roles, {"n0": [2, 2, 2]})
+        argv = ["check", "family-grid", path] + (["--n0", n0] if n0 else [])
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: {where}: expected 2 values, got 3")
+
     def test_missing_role_is_input_error(self, averaging_bundle_path):
         # bundle has role T only; the damped-powers checker needs S as well
         assert main(["check", "damped-powers", averaging_bundle_path]) == 3
@@ -349,6 +397,12 @@ class TestExampleCommand:
         assert main(["example", "lp", "--p", "nan"]) == 3
         captured = capsys.readouterr()
         assert "p must exceed 1" in captured.err
+        assert captured.out == ""
+
+    def test_infinite_exponent_is_input_error(self, capsys):
+        assert main(["example", "lp", "--p", "inf"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: p must exceed 1")
         assert captured.out == ""
 
 

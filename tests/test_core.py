@@ -15,25 +15,13 @@ from dominion import (
     MatrixOperator,
     MeasureSpace,
     SpaceMismatchError,
-    apply,
-    commutes,
-    compose,
-    dominates,
-    is_contraction_l1,
-    is_positive,
-    l1_norm,
     lp_operator_norm,
-    operator_norm_l1,
     p_norm_gap_pair,
-    power,
     random_dominated_pair,
     random_signed_operator,
     rat,
     shear_trio,
     sigma_max_uniform_2x2,
-    vec_abs,
-    vec_join,
-    vec_meet,
 )
 
 from dominion.calculus import operator_meet
@@ -44,6 +32,7 @@ from conftest import (
     ref_abs,
     ref_add,
     ref_compose,
+    ref_dual_row_sum,
     ref_meet,
     ref_norm,
     ref_power,
@@ -115,74 +104,70 @@ class TestMeasureSpace:
         space = MeasureSpace((Fraction(2, 3),))
         op = MatrixOperator(space, ((Fraction(-3, 2),),))
         assert op.norm() == Fraction(3, 2)
-        assert l1_norm(op @ space.basis_vector(0)) == 1
+        assert (op @ space.basis_vector(0)).norm() == 1
 
 
 class TestL1Norm:
     def test_zero_vector(self):
         space = MeasureSpace((2, 5, 1))
-        assert l1_norm(space.zero_vector()) == 0
+        assert space.zero_vector().norm() == 0
 
     def test_unit_coordinate(self):
         space = MeasureSpace((1, 1))
-        assert l1_norm(L1Vector(space, (1, 0))) == 1
+        assert L1Vector(space, (1, 0)).norm() == 1
 
     def test_weighted_mixed_signs(self):
         space = MeasureSpace((2, 3))
-        assert l1_norm(L1Vector(space, ("1/2", "-1/3"))) == 2
+        assert L1Vector(space, ("1/2", "-1/3")).norm() == 2
 
     @given(space_with_vectors(count=1))
     @settings(max_examples=60, deadline=None)
     def test_zero_norm_iff_zero_vector(self, data):
         space, x = data
-        assert (l1_norm(x) == 0) == (x == space.zero_vector())
-
-    def test_numeric_p_norm_of_vector(self):
-        x = L1Vector(MeasureSpace((1, 1)), (3, -4))
-        assert abs(x.lp_norm(2.0) - 5.0) <= 1e-12
+        assert (x.norm() == 0) == (x == space.zero_vector())
 
 
 class TestApply:
     def test_identity(self, two_point):
         x = L1Vector(two_point, ("2/3", "-5"))
-        assert apply(MatrixOperator.identity(two_point), x) == x
+        assert MatrixOperator.identity(two_point).apply(x) == x
 
     def test_nilpotent_swap(self, gap_pair):
-        image = apply(gap_pair.t, L1Vector(gap_pair.space, (0, 1)))
+        image = gap_pair.t.apply(L1Vector(gap_pair.space, (0, 1)))
         assert image == L1Vector(gap_pair.space, ("1/4", 0))
 
     def test_zero_operator(self, two_point):
         x = L1Vector(two_point, (7, "-1/9"))
-        assert apply(MatrixOperator.zero(two_point), x) == two_point.zero_vector()
+        assert MatrixOperator.zero(two_point).apply(x) == two_point.zero_vector()
 
     def test_space_mismatch(self, two_point):
         other = MeasureSpace((1, 2))
         with pytest.raises(SpaceMismatchError):
-            apply(MatrixOperator.identity(two_point), L1Vector(other, (1, 1)))
+            MatrixOperator.identity(two_point).apply(L1Vector(other, (1, 1)))
 
 
 class TestComposePower:
     def test_nilpotent_square_vanishes(self, gap_pair):
-        assert power(gap_pair.t, 2) == MatrixOperator.zero(gap_pair.space)
+        assert gap_pair.t**2 == MatrixOperator.zero(gap_pair.space)
 
     def test_averaging_square_rescales(self, gap_pair):
         # hand product of the averaging map with itself
-        assert power(gap_pair.s, 2) == gap_pair.s * Fraction(5, 6)
+        assert gap_pair.s**2 == gap_pair.s * Fraction(5, 6)
 
     def test_identity_is_neutral(self, gap_pair):
-        assert compose(gap_pair.s, MatrixOperator.identity(gap_pair.space)) == gap_pair.s
+        assert gap_pair.s.compose(MatrixOperator.identity(gap_pair.space)) == gap_pair.s
 
     def test_zeroth_power(self, gap_pair):
-        assert power(gap_pair.t, 0) == MatrixOperator.identity(gap_pair.space)
+        assert gap_pair.t**0 == MatrixOperator.identity(gap_pair.space)
 
     def test_negative_power_rejected(self, gap_pair):
         with pytest.raises(ValueError):
-            power(gap_pair.s, -1)
+            gap_pair.s**-1
 
     def test_space_mismatch(self, two_point):
         other = MeasureSpace((1, 2))
         with pytest.raises(SpaceMismatchError):
-            compose(MatrixOperator.identity(two_point), MatrixOperator.identity(other))
+            MatrixOperator.identity(two_point).compose(MatrixOperator.identity(other))
         with pytest.raises(SpaceMismatchError):
             MatrixOperator.identity(two_point).distance(MatrixOperator.identity(other))
 
@@ -204,95 +189,95 @@ class TestImmutability:
 class TestVectorLattice:
     def test_meet_idempotent(self, two_point):
         x = L1Vector(two_point, ("1/2", -3))
-        assert vec_meet(x, x) == x
+        assert x.meet(x) == x
 
     def test_meet_coordinatewise(self, two_point):
-        assert vec_meet(
-            L1Vector(two_point, (1, -2)), L1Vector(two_point, (0, 3))
+        assert L1Vector(two_point, (1, -2)).meet(
+            L1Vector(two_point, (0, 3))
         ) == L1Vector(two_point, (0, -2))
 
     def test_abs(self, two_point):
-        assert vec_abs(L1Vector(two_point, ("-1/2", 3))) == L1Vector(two_point, ("1/2", 3))
+        assert abs(L1Vector(two_point, ("-1/2", 3))) == L1Vector(two_point, ("1/2", 3))
 
     @given(space_with_vectors())
     @settings(max_examples=80, deadline=None)
     def test_meet_matches_averaged_form(self, data):
         _, x, y = data
-        averaged = (x + y - vec_abs(x - y)) * Fraction(1, 2)
-        assert vec_meet(x, y) == averaged
+        averaged = (x + y - abs(x - y)) * Fraction(1, 2)
+        assert x.meet(y) == averaged
 
     @given(space_with_vectors())
     @settings(max_examples=80, deadline=None)
     def test_join_matches_averaged_form(self, data):
         _, x, y = data
-        averaged = (x + y + vec_abs(x - y)) * Fraction(1, 2)
-        assert vec_join(x, y) == averaged
+        averaged = (x + y + abs(x - y)) * Fraction(1, 2)
+        assert x.join(y) == averaged
 
     @given(space_with_vectors(count=3))
     @settings(max_examples=80, deadline=None)
     def test_lattice_laws(self, data):
         _, x, y, z = data
-        assert vec_meet(x, y) == vec_meet(y, x)
-        assert vec_join(x, y) == vec_join(y, x)
-        assert vec_meet(vec_meet(x, y), z) == vec_meet(x, vec_meet(y, z))
-        assert vec_join(vec_join(x, y), z) == vec_join(x, vec_join(y, z))
-        assert vec_join(x, vec_meet(x, y)) == x
-        assert vec_meet(x, vec_join(x, y)) == x
+        assert x.meet(y) == y.meet(x)
+        assert x.join(y) == y.join(x)
+        assert x.meet(y).meet(z) == x.meet(y.meet(z))
+        assert x.join(y).join(z) == x.join(y.join(z))
+        assert x.join(x.meet(y)) == x
+        assert x.meet(x.join(y)) == x
 
     @given(space_with_vectors(count=1))
     @settings(max_examples=60, deadline=None)
     def test_abs_is_join_with_negation(self, data):
         _, x = data
-        assert vec_abs(x) == vec_join(x, -x)
+        assert abs(x) == x.join(-x)
 
 
 class TestPositivityDominance:
     def test_shear_damping_is_positive(self):
         trio = shear_trio("1/3", "1/3", "1/4")
-        assert is_positive(trio.z)
+        assert trio.z.is_positive()
 
     def test_signed_entry_is_not_positive(self, two_point):
-        assert not is_positive(MatrixOperator(two_point, ((1, -1), (0, 1))))
+        assert not MatrixOperator(two_point, ((1, -1), (0, 1))).is_positive()
 
     def test_zero_is_positive(self, two_point):
-        assert is_positive(MatrixOperator.zero(two_point))
+        assert MatrixOperator.zero(two_point).is_positive()
 
     def test_unit_gap_pair_dominates(self, gap_pair):
-        assert dominates(gap_pair.s, gap_pair.t)
+        assert gap_pair.s.dominates(gap_pair.t)
 
     def test_shear_dominance_needs_small_lambda(self):
         trio = shear_trio("1/2", "1/2", "3/4")
-        assert not dominates(trio.s, trio.t)
+        assert not trio.s.dominates(trio.t)
         assert not trio.dominance
         assert shear_trio("1/2", "1/2", "1/2").dominance
 
     def test_dominance_is_reflexive(self, gap_pair):
-        assert dominates(gap_pair.t, gap_pair.t)
+        assert gap_pair.t.dominates(gap_pair.t)
 
 
 class TestOperatorNorm:
     def test_unit_gap(self, gap_pair):
-        assert operator_norm_l1(gap_pair.s - gap_pair.t) == 1
+        assert (gap_pair.s - gap_pair.t).norm() == 1
 
     def test_squared_gap(self, gap_pair):
         squared = gap_pair.s @ gap_pair.s - gap_pair.t @ gap_pair.t
-        assert operator_norm_l1(squared) == Fraction(15, 18)
+        assert squared.norm() == Fraction(15, 18)
 
     def test_weighted_column_reduction(self):
         space = MeasureSpace((2, 3))
         a = MatrixOperator(space, ((0, 1), (0, 0)))
-        assert operator_norm_l1(a) == Fraction(2, 3)
+        assert a.norm() == Fraction(2, 3)
         # value frozen from the sampling oracle: attained at a vertex and
         # never exceeded on the sphere
         vertex_best = max(
-            l1_norm(a @ space.vertex(j, negative))
+            (a @ space.vertex(j, negative)).norm()
             for j in range(2)
             for negative in (False, True)
         )
         assert vertex_best == Fraction(2, 3)
         rng = Random(17)
         for x in exact_unit_sphere_points(space, rng, 200):
-            assert l1_norm(a @ x) <= Fraction(2, 3)
+            assert (a @ x).norm() <= Fraction(2, 3)
 
     def test_sampling_oracle_bounds_and_vertex_attainment(self):
         rng = Random(4021)
@@ -300,15 +285,15 @@ class TestOperatorNorm:
             n = rng.randint(1, 4)
             a = random_signed_operator(seed=5000 + trial, n=n)
             space = a.space
-            norm = operator_norm_l1(a)
+            norm = a.norm()
             vertex_values = [
-                l1_norm(a @ space.vertex(j, negative))
+                (a @ space.vertex(j, negative)).norm()
                 for j in range(n)
                 for negative in (False, True)
             ]
             assert max(vertex_values) == norm
             for x in exact_unit_sphere_points(space, rng, 60):
-                assert l1_norm(a @ x) <= norm
+                assert (a @ x).norm() <= norm
 
     def test_ratio_never_exceeds_norm_on_many_samples(self):
         # ten thousand exact ratio comparisons spread over eight operators
@@ -316,10 +301,10 @@ class TestOperatorNorm:
         for trial in range(8):
             n = rng.randint(1, 4)
             a = random_signed_operator(seed=9300 + trial, n=n)
-            norm = operator_norm_l1(a)
+            norm = a.norm()
             for _ in range(1250):
                 x = random_vector(a.space, rng)
-                assert l1_norm(a @ x) <= norm * l1_norm(x)
+                assert (a @ x).norm() <= norm * x.norm()
 
     def test_positive_cone_sup_equality(self):
         rng = Random(515)
@@ -328,64 +313,64 @@ class TestOperatorNorm:
             a = abs(random_signed_operator(seed=700 + trial, n=n))
             space = a.space
             signed = max(
-                l1_norm(a @ space.vertex(j, negative))
+                (a @ space.vertex(j, negative)).norm()
                 for j in range(n)
                 for negative in (False, True)
             )
-            positive_only = max(l1_norm(a @ space.vertex(j)) for j in range(n))
-            assert signed == positive_only == operator_norm_l1(a)
+            positive_only = max((a @ space.vertex(j)).norm() for j in range(n))
+            assert signed == positive_only == a.norm()
 
     def test_norm_subtraction_identity(self):
         rng = Random(2218)
         for trial in range(40):
             pair = random_dominated_pair(seed=1200 + trial, n=rng.randint(1, 4))
             x = abs(random_vector(pair.s.space, rng))
-            lhs = l1_norm(pair.s @ x - pair.t @ x)
-            assert lhs == l1_norm(pair.s @ x) - l1_norm(pair.t @ x)
+            lhs = (pair.s @ x - pair.t @ x).norm()
+            assert lhs == (pair.s @ x).norm() - (pair.t @ x).norm()
 
     @given(space_with_operators())
     @settings(max_examples=60, deadline=None)
     def test_submultiplicativity(self, data):
         _, a, b = data
-        assert operator_norm_l1(a @ b) <= operator_norm_l1(a) * operator_norm_l1(b)
+        assert (a @ b).norm() <= a.norm() * b.norm()
 
     @given(space_with_operators(count=1))
     @settings(max_examples=60, deadline=None)
     def test_dual_row_sum_agrees(self, data):
         _, a = data
-        assert a.adjoint().max_abs_row_sum() == operator_norm_l1(a)
+        assert ref_dual_row_sum(a.space.weights, a.entries) == a.norm()
 
     def test_monotone_dominance(self):
         for trial in range(30):
             pair = random_dominated_pair(seed=3400 + trial, n=3)
-            assert operator_norm_l1(pair.t) <= operator_norm_l1(pair.s)
+            assert pair.t.norm() <= pair.s.norm()
 
 
 class TestContraction:
     def test_averaging_map_is_boundary_contraction(self, gap_pair):
-        assert is_contraction_l1(gap_pair.s)
-        assert operator_norm_l1(gap_pair.s) == 1
+        assert gap_pair.s.is_contraction()
+        assert gap_pair.s.norm() == 1
 
     def test_nilpotent_is_strict_contraction(self, gap_pair):
-        assert is_contraction_l1(gap_pair.t)
-        assert operator_norm_l1(gap_pair.t) == Fraction(1, 4)
+        assert gap_pair.t.is_contraction()
+        assert gap_pair.t.norm() == Fraction(1, 4)
 
     def test_doubled_identity_is_not(self, two_point):
-        assert not is_contraction_l1(MatrixOperator.identity(two_point) * 2)
+        assert not (MatrixOperator.identity(two_point) * 2).is_contraction()
 
 
 class TestCommutes:
     def test_shear_commutes_with_averaging(self):
         trio = shear_trio("1/4", "1/2", "1/8")
-        assert commutes(trio.z, trio.s)
+        assert trio.z.commutes_with(trio.s)
 
     def test_identity_commutes(self, gap_pair):
-        assert commutes(gap_pair.s, MatrixOperator.identity(gap_pair.space))
+        assert gap_pair.s.commutes_with(MatrixOperator.identity(gap_pair.space))
 
     def test_nilpotents_do_not_commute(self, two_point):
         up = MatrixOperator(two_point, ((0, 1), (0, 0)))
         down = MatrixOperator(two_point, ((0, 0), (1, 0)))
-        assert not commutes(up, down)
+        assert not up.commutes_with(down)
 
 
 class TestLpOperatorNorm:
@@ -430,6 +415,21 @@ class TestLpOperatorNorm:
     def test_rejects_nan_exponent(self, two_point):
         with pytest.raises(ValueError, match="p must exceed 1"):
             lp_operator_norm(MatrixOperator.identity(two_point), float("nan"))
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf])
+    def test_rejects_infinite_exponent(self, two_point, p):
+        # p = inf passes "p > 1" and used to give 1.0 even for the zero operator
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            lp_operator_norm(MatrixOperator.zero(two_point), p)
+
+    def test_large_exponent_two_point_does_not_overflow(self, two_point):
+        value = lp_operator_norm(MatrixOperator.identity(two_point) * 3, 2000.0)
+        assert abs(value - 3.0) <= 1e-9
+
+    def test_large_exponent_ascent_does_not_underflow(self):
+        space = MeasureSpace((1, 1, 1))
+        value = lp_operator_norm(MatrixOperator.identity(space) / 10, 2000.0)
+        assert abs(value - 0.1) <= 1e-9
 
 
 oracle_entries = st.one_of(

@@ -9,7 +9,6 @@ from dominion import (
     DominatedPair,
     MatrixOperator,
     MeasureSpace,
-    denominator_cap,
     lp_operator_norm,
     p_norm_gap_pair,
     random_commuting_family,
@@ -178,20 +177,11 @@ class TestRandomCommutingFamily:
 
 
 class TestGeneratorKnobs:
-    def test_denominator_cap_default(self, monkeypatch):
-        monkeypatch.delenv("DOMINION_DENOM_CAP", raising=False)
-        assert denominator_cap() == 64
-
-    def test_denominator_cap_override(self, monkeypatch):
-        monkeypatch.setenv("DOMINION_DENOM_CAP", "16")
-        assert denominator_cap() == 16
-        pair = random_dominated_pair(4, 3)
-        assert pair.s.is_contraction()
-
-    def test_denominator_cap_rejects_bad_values(self, monkeypatch):
-        monkeypatch.setenv("DOMINION_DENOM_CAP", "0")
-        with pytest.raises(ValueError):
-            denominator_cap()
+    def test_default_denominator_cap_is_64(self):
+        assert random_positive_contraction(4, 3) == random_positive_contraction(4, 3, denom_cap=64)
+        assert random_signed_operator(4, 3) == random_signed_operator(4, 3, denom_cap=64)
+        assert random_dominated_pair(4, 3) == random_dominated_pair(4, 3, denom_cap=64)
+        assert random_commuting_family(4, 2, 3) == random_commuting_family(4, 2, 3, denom_cap=64)
 
     def test_signed_operator_spans_both_signs(self):
         op = random_signed_operator(12, 5)

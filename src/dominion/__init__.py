@@ -12,14 +12,12 @@ from .calculus import (
     operator_modulus,
 )
 from .core import (
-    ConvergenceError,
     InternalConsistencyError,
     L1Vector,
     MatrixOperator,
     MeasureSpace,
-    Rational,
     SpaceMismatchError,
-    lp_operator_norm,
+    compare_l2_norm,
     rat,
 )
 from .gallery import (
@@ -32,7 +30,6 @@ from .gallery import (
     random_positive_contraction,
     random_signed_operator,
     shear_trio,
-    sigma_max_uniform_2x2,
     unit_gap_pair,
 )
 from .theorems import (

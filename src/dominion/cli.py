@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .bundles import (
     rational_str,
     save_bundle,
 )
-from .core import ConvergenceError, MatrixOperator, lp_operator_norm, unlimited_int_digits
+from .core import MatrixOperator, compare_l2_norm, unlimited_int_digits
 from .gallery import p_norm_gap_pair, shear_trio, unit_gap_pair
 from .sweeps import (
     sweep_dominated_powers,
@@ -136,6 +137,15 @@ def _family_from_bundle(args, bundle: OperatorBundle) -> CommutingFamily:
         index += 1
     if not pairs:
         raise BundleError("family-grid needs roles S1/T1 (and onward)")
+    # The walk stops at the first gap in numbering; a role past it (or an
+    # S0) would be silently left out, so it fails, naming it.
+    read = {f"{side}{i}" for side in "ST" for i in range(1, index)}
+    for name in sorted({*bundle.roles, *bundle.operators}):
+        if re.fullmatch(r"[ST][0-9]+", name) and name not in read:
+            raise BundleError(
+                f"role {name!r} is outside the pairs family-grid reads: "
+                f"S<i>/T<i> for i = 1..{index - 1}, numbered without gaps"
+            )
     n0s = _base_exponents(args, bundle, len(pairs))
     return CommutingFamily(pairs=tuple(pairs), base_exponents=n0s)
 
@@ -258,12 +268,13 @@ def _check_line(label: str, expected: Fraction, computed: Fraction) -> bool:
     return expected == computed
 
 
-def _check_line_float(label: str, expected: float, computed: float, tol: float) -> bool:
-    ok = abs(expected - computed) <= tol
-    status = "MATCH" if ok else "MISMATCH"
-    print(f"{label}: expected {expected:.12g}, computed {computed:.12g} "
-          f"(tol {tol:g}), {status}")
-    return ok
+def _compare_line(label: str, expected: int, computed: int) -> bool:
+    """Like ``_check_line`` for a norm decided against 1, given as the sign
+    of ``norm - 1``."""
+    symbol = {-1: "<", 0: "=", 1: ">"}
+    status = "MATCH" if expected == computed else "MISMATCH"
+    print(f"{label} vs 1: expected {symbol[expected]}, computed {symbol[computed]}, {status}")
+    return expected == computed
 
 
 def _cmd_example(args) -> int:
@@ -302,14 +313,10 @@ def _cmd_example(args) -> int:
         else:  # lp
             pair = p_norm_gap_pair()
             bundle = bundle_for_pair(DominatedPair(s=pair.s, t=pair.t))
-            gap = lp_operator_norm(pair.s - pair.t, args.p)
-            squared = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, args.p)
-            if args.p == 2.0:
-                ok &= _check_line_float("|S-T|_2", pair.gap_l2, gap, 1e-6)
-                ok &= _check_line_float("|S^2-T^2|_2", pair.squared_gap_l2, squared, 1e-9)
-            else:
-                print(f"|S-T|_{args.p:g} = {gap:.12g}")
-                print(f"|S^2-T^2|_{args.p:g} = {squared:.12g}")
+            gap = compare_l2_norm(pair.s - pair.t, 1)
+            squared = compare_l2_norm(pair.s @ pair.s - pair.t @ pair.t, 1)
+            ok &= _compare_line("|S-T|_2", pair.gap_l2, gap)
+            ok &= _compare_line("|S^2-T^2|_2", pair.squared_gap_l2, squared)
             ok &= _check_line("|S-T|_1 (contrast)", pair.gap_l1, (pair.s - pair.t).norm())
     if args.out:
         save_bundle(bundle, args.out)
@@ -459,7 +466,6 @@ def build_parser() -> _Parser:
     example.add_argument("--u", type=_rational_flag("--u"), default="1/2")
     example.add_argument("--v", type=_rational_flag("--v"), default="1/2")
     example.add_argument("--lambda", dest="lam", type=_rational_flag("--lambda"), default="1/4")
-    example.add_argument("--p", type=float, default=2.0)
     example.add_argument("--out", default=None)
     example.set_defaults(func=_cmd_example)
 
@@ -498,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS_UNMET
     # BundleError and SpaceMismatchError are ValueErrors.
-    except (CliInputError, GridCapExceeded, ConvergenceError, ValueError, OSError) as exc:
+    except (CliInputError, GridCapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

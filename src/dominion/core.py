@@ -3,8 +3,9 @@ matrix operators with their induced L1 operator norm.
 
 All values are immutable, and all arithmetic on them is exact (arbitrary
 precision rationals), so strict verdicts such as ``norm < 1`` are decided
-with no rounding anywhere. The single floating-point entry point is
-:func:`lp_operator_norm`, a documented numeric approximation for p > 1.
+with no rounding anywhere. The operator norm induced by the weighted
+2-norm is not rational in general, so :func:`compare_l2_norm` decides its
+order against a rational bound instead of computing it.
 
 A :class:`MatrixOperator` stores an integer numerator matrix over one
 positive common denominator, reduced to lowest terms by a single gcd per
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,30 +29,22 @@ from functools import cached_property, wraps
 from typing import Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "rat",
     "unlimited_int_digits",
     "SpaceMismatchError",
-    "ConvergenceError",
     "InternalConsistencyError",
     "MeasureSpace",
     "L1Vector",
     "MatrixOperator",
-    "lp_operator_norm",
+    "compare_l2_norm",
 ]
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
 
 class SpaceMismatchError(ValueError):
     """Operands live on different measure spaces."""
-
-
-class ConvergenceError(RuntimeError):
-    """The numeric p-norm search hit its iteration cap before settling."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -482,146 +474,46 @@ def _scaled(num: Numerators, factor: int) -> Numerators:
     return tuple(tuple(p * factor for p in row) for row in num)
 
 
-# -- numeric p-norm maximization (p > 1) -------------------------------------
+# -- the weighted 2-norm, decided exactly --------------------------------------
 
 
-def lp_operator_norm(
-    a: MatrixOperator,
-    p: float,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> float:
-    """Numeric approximation of the induced weighted p-norm for finite p > 1.
+def compare_l2_norm(a: MatrixOperator, c: RationalLike) -> int:
+    """Sign of ``|A|_2 - c``: -1, 0 or 1, for the operator norm induced by
+    the weighted 2-norm ``|x|_2 = (sum_i mu_i x_i^2)^(1/2)`` and a rational
+    ``c >= 0``.
 
-    Deterministic for fixed inputs. On two-point spaces the unit sphere is a
-    one-parameter curve, so the maximum is located by dense sampling plus
-    local interval refinement. On larger spaces a monotone dual-exponent
-    ascent runs from every basis-vector start plus seeded random restarts;
-    if an ascent fails to settle within ``max_iter`` sweeps a
-    :class:`ConvergenceError` names the cap.
+    With ``M = diag(mu)``, ``|A|_2 <= c`` iff ``G = c^2 M - A^T M A`` is
+    positive semidefinite, and ``|A|_2 < c`` iff ``G`` is positive definite.
+    ``G`` is scaled to integers and decided by symmetric elimination over
+    the rationals: each positive pivot is replaced by its Schur complement,
+    a zero pivot whose row is zero is dropped (``G`` is singular), and a
+    negative pivot, or a zero pivot whose row is not zero, shows that ``G``
+    is not semidefinite.
     """
-    if not 1 < p < math.inf:  # also rejects NaN
-        raise ValueError("p must exceed 1 and be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a.space.n
-    mu = [float(w) for w in a.space.weights]
-    mat = [[float(q) for q in row] for row in a.entries]
-    if n == 1:
-        return abs(mat[0][0])
-    if n == 2:
-        return _lp_norm_two_point(mat, mu, p)
-    return _lp_norm_ascent(mat, mu, p, tol, max_iter)
-
-
-def _lp_norm_two_point(mat: list[list[float]], mu: list[float], p: float) -> float:
-    inv_p = 1.0 / p
-
-    def value(s: float, sign: float) -> float:
-        x0 = (s / mu[0]) ** inv_p
-        x1 = sign * ((1.0 - s) / mu[1]) ** inv_p
-        y0 = abs(mat[0][0] * x0 + mat[0][1] * x1)
-        y1 = abs(mat[1][0] * x0 + mat[1][1] * x1)
-        # The p-sum of y scaled by its larger entry, as in _pnorm.
-        if y0 >= y1:
-            return y0 and y0 * (mu[0] + mu[1] * (y1 / y0) ** p) ** inv_p
-        return y1 * (mu[0] * (y0 / y1) ** p + mu[1]) ** inv_p
-
-    best = 0.0
-    grid = 2048
-    for sign in (1.0, -1.0):
-        values = [value(i / grid, sign) for i in range(grid + 1)]
-        i_best = max(range(grid + 1), key=values.__getitem__)
-        s_best = i_best / grid
-        v_best = values[i_best]
-        lo = max(0.0, (i_best - 1) / grid)
-        hi = min(1.0, (i_best + 1) / grid)
-        for _ in range(70):
-            step = (hi - lo) / 16.0
-            if step <= 1e-18:
-                break
-            for k in range(17):
-                s = lo + k * step
-                v = value(s, sign)
-                if v > v_best:
-                    v_best, s_best = v, s
-            lo = max(0.0, s_best - step)
-            hi = min(1.0, s_best + step)
-        best = max(best, v_best)
-    return best
-
-
-def _lp_norm_ascent(
-    mat: list[list[float]],
-    mu: list[float],
-    p: float,
-    tol: float,
-    max_iter: int,
-) -> float:
-    n = len(mat)
-    scale = [m ** (1.0 / p) for m in mu]
-    # Conjugating by diag(mu^(1/p)) turns the weighted p-norm into the plain one.
-    b = [[mat[i][j] * scale[i] / scale[j] for j in range(n)] for i in range(n)]
-    bt = [[b[i][j] for i in range(n)] for j in range(n)]
-    q = p / (p - 1.0)
-
-    def matvec(m: list[list[float]], v: list[float]) -> list[float]:
-        return [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
-
-    def dual_map(v: list[float], e: float) -> list[float]:
-        # Only the direction matters: the caller normalizes the result.
-        top = max(map(abs, v)) or 1.0
-        return [(abs(t) / top) ** (e - 1.0) * (1.0 if t >= 0 else -1.0) for t in v]
-
-    rng = random.Random(1009)
-    starts: list[list[float]] = []
-    for j in range(n):
-        starts.append([1.0 if i == j else 0.0 for i in range(n)])
-    starts.append([1.0] * n)
-    for _ in range(3):
-        starts.append([rng.uniform(-1.0, 1.0) for _ in range(n)])
-
-    best = 0.0
-    for start in starts:
-        size = _pnorm(start, p)
-        if size == 0.0:
+    c = rat(c)
+    if c < 0:
+        raise ValueError(f"the bound c must be >= 0, got {c}")
+    w, num, n = a.space._integer_weights, a.num, a.space.n
+    bound = (c.numerator * a.den) ** 2
+    scale = c.denominator ** 2
+    # G times (den * c.denominator)^2 over the integer weights.
+    g = [
+        [
+            (bound * w[i] if i == j else 0)
+            - scale * sum(w[k] * num[k][i] * num[k][j] for k in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    singular = False
+    for k in range(n):
+        pivot, rest = g[k][k], range(k + 1, n)
+        if pivot < 0 or (pivot == 0 and any(g[k][j] for j in rest)):
+            return 1
+        if pivot == 0:
+            singular = True
             continue
-        x = [t / size for t in start]
-        estimate = 0.0
-        settled = False
-        for _ in range(max_iter):
-            y = matvec(b, x)
-            new_estimate = _pnorm(y, p)
-            if new_estimate == 0.0:
-                estimate = 0.0
-                settled = True
-                break
-            if abs(new_estimate - estimate) <= tol * 0.01 * max(1.0, new_estimate):
-                estimate = max(estimate, new_estimate)
-                settled = True
-                break
-            estimate = new_estimate
-            g = matvec(bt, dual_map(y, p))
-            g_size = _pnorm(g, q)
-            if g_size == 0.0:
-                settled = True
-                break
-            x = dual_map(g, q)
-            x_size = _pnorm(x, p)
-            x = [t / x_size for t in x]
-        if not settled:
-            raise ConvergenceError(
-                f"p-norm ascent did not settle within {max_iter} iterations"
-            )
-        best = max(best, estimate)
-    return best
-
-
-def _pnorm(v: list[float], p: float) -> float:
-    """``(sum_i |v_i|^p)^(1/p)``, with the powers taken of ``v`` scaled by its
-    largest absolute entry, so a large ``p`` neither overflows nor underflows
-    the sum to a wrong value."""
-    top = max(map(abs, v))
-    if top == 0.0:
-        return 0.0
-    return top * sum((abs(t) / top) ** p for t in v) ** (1.0 / p)
+        for i in rest:
+            for j in rest:
+                g[i][j] -= Fraction(g[i][k] * g[k][j], pivot)
+    return 0 if singular else -1

@@ -11,7 +11,6 @@ power iterations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -27,7 +26,6 @@ __all__ = [
     "unit_gap_pair",
     "PNormGapPair",
     "p_norm_gap_pair",
-    "sigma_max_uniform_2x2",
     "random_space",
     "random_rational",
     "random_positive_contraction",
@@ -154,16 +152,20 @@ class PNormGapPair:
     ambient norm is a p-norm with p > 1.
 
     On weights (1/2, 1/2), S averages both coordinates and T sends
-    (x1, x2) to (0, x1/2). At p = 2 the gap norm is strictly below one
-    while the squared gap norm is exactly one; in the weighted L1 norm the
-    exact contrast values are recorded alongside.
+    (x1, x2) to (0, x1/2). At p = 2 the gap norm is
+    ``((3 + 5^(1/2)) / 8)^(1/2) = 0.809...``, strictly below one, while the
+    squared gap norm is exactly one. ``gap_l2`` and ``squared_gap_l2``
+    record these as the expected signs of ``norm - 1`` that
+    :func:`~dominion.core.compare_l2_norm` returns; in the weighted L1 norm,
+    where the gap already reaches one, the exact contrast values are
+    recorded alongside.
     """
 
     space: MeasureSpace
     s: MatrixOperator
     t: MatrixOperator
-    gap_l2: float  # largest singular value of s - t (Gram polynomial oracle)
-    squared_gap_l2: float  # largest singular value of s^2 - t^2
+    gap_l2: int  # sign of |s - t|_2 - 1
+    squared_gap_l2: int  # sign of |s^2 - t^2|_2 - 1
     gap_l1: Fraction  # exact weighted column-sum norm of s - t
     squared_gap_l1: Fraction
 
@@ -179,34 +181,11 @@ def p_norm_gap_pair() -> PNormGapPair:
         space=space,
         s=s,
         t=t,
-        gap_l2=sigma_max_uniform_2x2(gap),
-        squared_gap_l2=sigma_max_uniform_2x2(squared_gap),
+        gap_l2=-1,
+        squared_gap_l2=0,
         gap_l1=gap.norm(),
         squared_gap_l1=squared_gap.norm(),
     )
-
-
-def sigma_max_uniform_2x2(a: MatrixOperator) -> float:
-    """Largest singular value of a 2x2 operator on a uniform-weight space,
-    computed from the characteristic polynomial of the exact Gram matrix.
-
-    On uniform weights the weighted 2-norm ratio reduces to the Euclidean
-    one, so this is an independent closed-form oracle for the p = 2
-    operator norm.
-    """
-    if a.space.n != 2:
-        raise ValueError("the Gram polynomial oracle is for two-point spaces")
-    if len(set(a.space.weights)) != 1:
-        raise ValueError("the Gram polynomial oracle needs uniform weights")
-    (p, q_), (r, s) = a.entries
-    g11 = p * p + r * r
-    g12 = p * q_ + r * s
-    g22 = q_ * q_ + s * s
-    trace = g11 + g22
-    det = g11 * g22 - g12 * g12
-    disc = trace * trace - 4 * det
-    lam_max = (float(trace) + math.sqrt(float(disc))) / 2.0
-    return math.sqrt(lam_max)
 
 
 # -- seeded random generators --------------------------------------------------

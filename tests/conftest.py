@@ -6,7 +6,10 @@ recomputed from its defining supremum over sign patterns, and
 sup-preservation is re-decided behaviorally on vertex pairs. The ``ref_*``
 functions are a per-entry ``Fraction`` reference for the integer kernel of
 ``MatrixOperator``; ``ref_dual_row_sum`` reaches the L1 norm through the
-dual side instead of the column sums.
+dual side instead of the column sums. The weighted 2-norm has two oracles:
+``ref_l2_compare`` decides it from determinants instead of elimination, and
+``sigma_max_uniform_2x2`` approximates it in floating point from a closed
+form on uniform two-point spaces.
 
 Hypothesis runs under the ``tier1`` profile: examples are derived from each
 test's source rather than a random seed, so every run checks the same
@@ -17,6 +20,7 @@ Pass ``--hypothesis-profile default`` to pytest for randomized runs.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from random import Random
@@ -185,3 +189,66 @@ def ref_grid_gaps(
             t_prod = ref_compose(t_prod, ref_power(t, e))
         gaps.append((exponents, ref_norm(weights, ref_sub(s_prod, t_prod))))
     return gaps
+
+
+# -- oracles for the weighted 2-norm ------------------------------------------
+
+
+def ref_det(a: Rows) -> Fraction:
+    """Laplace expansion along the first row."""
+    if not a:
+        return Fraction(1)
+    return sum(
+        (
+            (-1) ** j * a[0][j] * ref_det(tuple(row[:j] + row[j + 1:] for row in a[1:]))
+            for j in range(len(a))
+        ),
+        Fraction(0),
+    )
+
+
+def ref_l2_compare(weights: tuple[Fraction, ...], a: Rows, c: Fraction) -> int:
+    """Sign of ``|A|_2 - c`` from the minors of ``G = c^2 M - A^T M A``,
+    ``M = diag(weights)``: ``G`` is positive definite iff its leading
+    principal minors are positive (Sylvester), and positive semidefinite iff
+    all its principal minors are nonnegative."""
+    n = len(a)
+    g = tuple(
+        tuple(
+            (c * c * weights[i] if i == j else 0)
+            - sum((weights[k] * a[k][i] * a[k][j] for k in range(n)), Fraction(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+    def minor(indices) -> Fraction:
+        return ref_det(tuple(tuple(g[i][j] for j in indices) for i in indices))
+
+    if all(minor(range(m)) > 0 for m in range(1, n + 1)):
+        return -1
+    subsets = (s for m in range(1, n + 1) for s in itertools.combinations(range(n), m))
+    return 0 if all(minor(s) >= 0 for s in subsets) else 1
+
+
+def sigma_max_uniform_2x2(a: MatrixOperator) -> float:
+    """Largest singular value of a 2x2 operator on a uniform-weight space,
+    computed from the characteristic polynomial of the exact Gram matrix.
+
+    On uniform weights the weighted 2-norm ratio reduces to the Euclidean
+    one, so this is a closed-form floating-point oracle for the p = 2
+    operator norm.
+    """
+    if a.space.n != 2:
+        raise ValueError("the Gram polynomial oracle is for two-point spaces")
+    if len(set(a.space.weights)) != 1:
+        raise ValueError("the Gram polynomial oracle needs uniform weights")
+    (p, q_), (r, s) = a.entries
+    g11 = p * p + r * r
+    g12 = p * q_ + r * s
+    g22 = q_ * q_ + s * s
+    trace = g11 + g22
+    det = g11 * g22 - g12 * g12
+    disc = trace * trace - 4 * det
+    lam_max = (float(trace) + math.sqrt(float(disc))) / 2.0
+    return math.sqrt(lam_max)

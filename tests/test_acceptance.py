@@ -2,7 +2,7 @@
 
 Every test prints a single pass line (visible with ``pytest -s``); a failed
 assertion is the fail line. Exact criteria use rational equality with zero
-tolerance; the p-norm criterion uses its stated numeric tolerances.
+tolerance; the p-norm criterion decides its norms against rational bounds.
 """
 
 import time
@@ -15,20 +15,19 @@ from dominion import (
     Verdict,
     build_decomposition,
     check_hom_identities,
+    compare_l2_norm,
     find_epsilon_certificate,
-    lp_operator_norm,
     operator_modulus,
     p_norm_gap_pair,
     random_positive_contraction,
     random_signed_operator,
     shear_trio,
-    sigma_max_uniform_2x2,
     unit_gap_pair,
     zero_two_trace,
 )
 from dominion.sweeps import sweep_dominated_powers, sweep_family_grid, sweep_pair_product
 
-from conftest import modulus_sup_oracle
+from conftest import modulus_sup_oracle, sigma_max_uniform_2x2
 
 
 def _stamp(index: int, name: str, started: float, budget: float | None = None) -> None:
@@ -120,12 +119,16 @@ def test_criterion_06_decomposition_identities():
 def test_criterion_07_p_norm_counterexample():
     started = time.monotonic()
     pair = p_norm_gap_pair()
-    gap = lp_operator_norm(pair.s - pair.t, 2.0)
-    assert abs(gap - 0.809017) <= 1e-6
-    # independent Gram polynomial oracle
-    assert abs(gap - sigma_max_uniform_2x2(pair.s - pair.t)) <= 1e-9
-    squared = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, 2.0)
-    assert abs(squared - 1.0) <= 1e-9
+    gap = pair.s - pair.t
+    # 0.809016 < |S - T|_2 < 0.809018
+    assert compare_l2_norm(gap, Fraction(809016, 10**6)) == 1
+    assert compare_l2_norm(gap, Fraction(809018, 10**6)) == -1
+    # independent Gram polynomial oracle, in floating point
+    sigma = Fraction(sigma_max_uniform_2x2(gap))
+    assert compare_l2_norm(gap, sigma * (1 - Fraction(1, 10**9))) == 1
+    assert compare_l2_norm(gap, sigma * (1 + Fraction(1, 10**9))) == -1
+    # |S^2 - T^2|_2 = 1 exactly
+    assert compare_l2_norm(pair.s @ pair.s - pair.t @ pair.t, 1) == 0
     _stamp(7, "p = 2 counterexample norms", started, budget=1.0)
 
 

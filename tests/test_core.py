@@ -1,5 +1,6 @@
 """Substrate tests: exact norms, products, lattice structure on vectors,
-extreme-point reduction of the operator norm, and the numeric p-norm path."""
+extreme-point reduction of the operator norm, and the exact decision of the
+weighted 2-norm."""
 
 import copy
 import math
@@ -15,13 +16,12 @@ from dominion import (
     MatrixOperator,
     MeasureSpace,
     SpaceMismatchError,
-    lp_operator_norm,
+    compare_l2_norm,
     p_norm_gap_pair,
     random_dominated_pair,
     random_signed_operator,
     rat,
     shear_trio,
-    sigma_max_uniform_2x2,
 )
 
 from dominion.calculus import operator_meet
@@ -33,10 +33,12 @@ from conftest import (
     ref_add,
     ref_compose,
     ref_dual_row_sum,
+    ref_l2_compare,
     ref_meet,
     ref_norm,
     ref_power,
     ref_sub,
+    sigma_max_uniform_2x2,
 )
 
 small_fractions = st.fractions(
@@ -374,62 +376,62 @@ class TestCommutes:
 
 
 class TestLpOperatorNorm:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    """The operator norm induced by the weighted 2-norm, decided exactly
+    against rational bounds."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_identity_has_unit_norm(self, p, n):
+    def test_identity_has_unit_norm(self, n):
         space = MeasureSpace(tuple(Fraction(1 + i, 2) for i in range(n)))
-        value = lp_operator_norm(MatrixOperator.identity(space), p)
-        assert abs(value - 1.0) <= 1e-9
+        identity = MatrixOperator.identity(space)
+        assert compare_l2_norm(identity, 1) == 0
+        assert compare_l2_norm(identity, Fraction(999, 1000)) == 1
+        assert compare_l2_norm(identity, Fraction(1001, 1000)) == -1
 
     def test_two_point_counterexample_values(self):
         pair = p_norm_gap_pair()
-        gap = lp_operator_norm(pair.s - pair.t, 2.0)
-        assert abs(gap - sigma_max_uniform_2x2(pair.s - pair.t)) <= 1e-9
-        squared = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, 2.0)
-        assert abs(squared - 1.0) <= 1e-9
-
-    def test_deterministic(self):
-        pair = p_norm_gap_pair()
-        a = pair.s - pair.t
-        assert lp_operator_norm(a, 2.5) == lp_operator_norm(a, 2.5)
+        gap = pair.s - pair.t
+        sigma = Fraction(sigma_max_uniform_2x2(gap))
+        assert compare_l2_norm(gap, sigma * (1 - Fraction(1, 10**9))) == 1
+        assert compare_l2_norm(gap, sigma * (1 + Fraction(1, 10**9))) == -1
+        assert compare_l2_norm(gap, 1) == -1
+        assert compare_l2_norm(pair.s @ pair.s - pair.t @ pair.t, 1) == 0
 
     def test_diagonal_three_point(self):
-        # in any p-norm a diagonal operator's norm is its largest entry
+        # a diagonal operator's norm is its largest entry
         space = MeasureSpace((Fraction(1, 2), 1, 2))
         diag = MatrixOperator.diagonal(space, (Fraction(1, 2), Fraction(3, 4), Fraction(1, 4)))
-        for p in (1.5, 2.0, 4.0):
-            assert abs(lp_operator_norm(diag, p) - 0.75) <= 1e-7
+        assert compare_l2_norm(diag, Fraction(3, 4)) == 0
+        assert compare_l2_norm(diag, Fraction(74, 100)) == 1
+        assert compare_l2_norm(diag, Fraction(76, 100)) == -1
 
     def test_one_point_space(self):
         space = MeasureSpace((Fraction(3),))
         op = MatrixOperator(space, ((Fraction(-3, 2),),))
-        assert lp_operator_norm(op, 2.0) == 1.5
+        assert compare_l2_norm(op, "3/2") == 0
+        assert compare_l2_norm(op, 1) == 1
+        assert compare_l2_norm(op, 2) == -1
+
+    @pytest.mark.parametrize("weights, rows, c, expected", [
+        ((1, 1), ((1, 1), (0, 0)), 1, 1),
+        ((1, 1, 1), ((0, 0, 0), (0, 1, 1), (0, 0, 0)), 1, 1),
+        ((1, 2, 3), ((1, 0, 0), (0, 2, 0), (0, 0, 0)), 2, 0),
+    ], ids=["first-pivot-zero-row-not", "later-pivot-zero-row-not", "later-row-zero"])
+    def test_zero_pivots(self, weights, rows, c, expected):
+        # Two equal columns of 2-norm c give G a zero pivot with a nonzero
+        # row, and |A|_2 = 2^(1/2) c; a diagonal entry equal to the norm c
+        # leaves a zero row, so G is singular.
+        a = MatrixOperator(MeasureSpace(weights), rows)
+        assert compare_l2_norm(a, c) == expected
+        assert ref_l2_compare(a.space.weights, a.entries, Fraction(c)) == expected
 
     def test_parameter_validation(self, two_point):
         op = MatrixOperator.identity(two_point)
-        with pytest.raises(ValueError):
-            lp_operator_norm(op, 1.0)
-        with pytest.raises(ValueError):
-            lp_operator_norm(op, 2.0, tol=0.0)
-
-    def test_rejects_nan_exponent(self, two_point):
-        with pytest.raises(ValueError, match="p must exceed 1"):
-            lp_operator_norm(MatrixOperator.identity(two_point), float("nan"))
-
-    @pytest.mark.parametrize("p", [math.inf, -math.inf])
-    def test_rejects_infinite_exponent(self, two_point, p):
-        # p = inf passes "p > 1" and used to give 1.0 even for the zero operator
-        with pytest.raises(ValueError, match="p must exceed 1"):
-            lp_operator_norm(MatrixOperator.zero(two_point), p)
-
-    def test_large_exponent_two_point_does_not_overflow(self, two_point):
-        value = lp_operator_norm(MatrixOperator.identity(two_point) * 3, 2000.0)
-        assert abs(value - 3.0) <= 1e-9
-
-    def test_large_exponent_ascent_does_not_underflow(self):
-        space = MeasureSpace((1, 1, 1))
-        value = lp_operator_norm(MatrixOperator.identity(space) / 10, 2000.0)
-        assert abs(value - 0.1) <= 1e-9
+        with pytest.raises(ValueError, match="c must be >= 0"):
+            compare_l2_norm(op, Fraction(-1, 2))
+        with pytest.raises(TypeError):
+            compare_l2_norm(op, 0.5)
+        assert compare_l2_norm(MatrixOperator.zero(two_point), 0) == 0
+        assert compare_l2_norm(op, 0) == 1
 
 
 oracle_entries = st.one_of(
@@ -496,3 +498,98 @@ class TestFractionOracle:
             ((x * 3) / 3, x),
         ):
             assert left == right and hash(left) == hash(right)
+
+
+@st.composite
+def l2_case(draw):
+    """An operator with signed entries on one to four points of distinct
+    weights. Some cases isolate one point: its row and column are zero off
+    the diagonal, so that diagonal entry's absolute value is a candidate for
+    the norm, and a bound equal to it makes ``G`` singular mid-elimination."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = tuple(draw(st.lists(oracle_weights, min_size=n, max_size=n, unique=True)))
+    rows = [[draw(oracle_entries) for _ in range(n)] for _ in range(n)]
+    isolated = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+    for i in range(n):
+        if isolated is not None and i != isolated:
+            rows[i][isolated] = rows[isolated][i] = Fraction(0)
+    return MatrixOperator(MeasureSpace(weights), tuple(map(tuple, rows)))
+
+
+l2_bounds = st.fractions(min_value=Fraction(0), max_value=Fraction(12), max_denominator=12)
+unit_fractions = st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=12)
+
+
+def _sqrt_below(q: Fraction, scale: int = 10**6) -> Fraction:
+    """A rational ``r >= 0`` with ``r^2 <= q``."""
+    return Fraction(math.isqrt(q.numerator * scale**2 // q.denominator), scale)
+
+
+def _sqrt_above(q: Fraction, scale: int = 10**6) -> Fraction:
+    """A rational ``r`` with ``r^2 > q``."""
+    return Fraction(math.isqrt(-(-q.numerator * scale**2 // q.denominator)) + 1, scale)
+
+
+class TestCompareL2NormProperties:
+    """``compare_l2_norm`` against the minor reference and against facts
+    about the 2-norm that need no elimination."""
+
+    @settings(max_examples=200)
+    @given(l2_case(), st.data())
+    def test_matches_minor_reference(self, a, data):
+        # Bounds drawn from the entries hit "=" on diagonal operators and,
+        # often, on cases with an isolated point.
+        entries = sorted({abs(q) for row in a.entries for q in row})
+        c = data.draw(st.one_of(l2_bounds, st.sampled_from(entries)))
+        assert compare_l2_norm(a, c) == ref_l2_compare(a.space.weights, a.entries, c)
+
+    @given(l2_case(), st.data())
+    def test_witness_vector_forces_above(self, a, data):
+        n, weights = a.space.n, a.space.weights
+        x = data.draw(st.lists(oracle_entries, min_size=n, max_size=n).filter(any))
+        y = (a @ L1Vector(a.space, tuple(x))).coords
+        ratio = sum(w * t * t for w, t in zip(weights, y)) / sum(w * t * t for w, t in zip(weights, x))
+        c = _sqrt_below(ratio) * data.draw(unit_fractions)
+        result = compare_l2_norm(a, c)
+        assert result >= 0
+        if c * c < ratio:
+            assert result == 1
+
+    @given(l2_case())
+    def test_riesz_thorin_bound(self, a):
+        # |A|_2^2 <= |A|_1 |A|_inf, with |A|_inf the largest absolute row sum
+        sup_norm = max(sum(abs(q) for q in row) for row in a.entries)
+        assert compare_l2_norm(a, _sqrt_above(a.norm() * sup_norm)) == -1
+
+    @given(st.data())
+    def test_diagonal_norm_is_largest_entry(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        weights = data.draw(st.lists(oracle_weights, min_size=n, max_size=n, unique=True))
+        diag = data.draw(st.lists(oracle_entries, min_size=n, max_size=n))
+        a = MatrixOperator.diagonal(MeasureSpace(tuple(weights)), tuple(diag))
+        top = max(map(abs, diag))
+        assert compare_l2_norm(a, top) == 0
+        assert compare_l2_norm(a, top + Fraction(1, 1000)) == -1
+        if top:
+            assert compare_l2_norm(a, top * Fraction(999, 1000)) == 1
+
+    @given(
+        l2_case(),
+        l2_bounds,
+        l2_bounds,
+        st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=9),
+    )
+    def test_joint_scaling_and_monotone_in_c(self, a, c1, c2, s):
+        assert compare_l2_norm(a * s, c1 * s) == compare_l2_norm(a, c1)
+        low, high = sorted((c1, c2))
+        assert compare_l2_norm(a, low) >= compare_l2_norm(a, high)
+
+    @given(oracle_weights, st.lists(oracle_entries, min_size=4, max_size=4))
+    def test_brackets_float_oracle_on_uniform_two_point(self, weight, entries):
+        a = MatrixOperator(MeasureSpace((weight, weight)), (tuple(entries[:2]), tuple(entries[2:])))
+        sigma = Fraction(sigma_max_uniform_2x2(a))
+        if sigma == 0:
+            assert compare_l2_norm(a, 0) == 0
+        else:
+            assert compare_l2_norm(a, sigma * (1 - Fraction(1, 10**9))) == 1
+            assert compare_l2_norm(a, sigma * (1 + Fraction(1, 10**9))) == -1

@@ -9,16 +9,17 @@ from dominion import (
     DominatedPair,
     MatrixOperator,
     MeasureSpace,
-    lp_operator_norm,
+    compare_l2_norm,
     p_norm_gap_pair,
     random_commuting_family,
     random_dominated_pair,
     random_positive_contraction,
     random_signed_operator,
     shear_trio,
-    sigma_max_uniform_2x2,
     unit_gap_pair,
 )
+
+from conftest import sigma_max_uniform_2x2
 
 
 class TestShearTrio:
@@ -93,15 +94,17 @@ class TestUnitGapPair:
 class TestPNormGapPair:
     def test_expected_l2_values(self):
         pair = p_norm_gap_pair()
-        golden = ((3 + 5 ** 0.5) / 8) ** 0.5
-        assert abs(pair.gap_l2 - golden) <= 1e-12
-        assert pair.squared_gap_l2 == 1.0
+        assert (pair.gap_l2, pair.squared_gap_l2) == (-1, 0)
+        # the gap norm is ((3 + 5^(1/2)) / 8)^(1/2)
+        golden = Fraction(((3 + 5 ** 0.5) / 8) ** 0.5)
+        gap = pair.s - pair.t
+        assert compare_l2_norm(gap, golden * (1 - Fraction(1, 10**12))) == 1
+        assert compare_l2_norm(gap, golden * (1 + Fraction(1, 10**12))) == -1
 
     def test_l2_straddles_threshold_while_l1_does_not(self):
         pair = p_norm_gap_pair()
-        assert pair.gap_l2 < 1.0
-        gap2 = lp_operator_norm(pair.s @ pair.s - pair.t @ pair.t, 2.0)
-        assert abs(gap2 - 1.0) <= 1e-9
+        assert compare_l2_norm(pair.s - pair.t, 1) == pair.gap_l2 == -1
+        assert compare_l2_norm(pair.s @ pair.s - pair.t @ pair.t, 1) == pair.squared_gap_l2 == 0
         # in the weighted L1 norm the gap already sits at one
         assert pair.gap_l1 == 1
         assert pair.squared_gap_l1 == 1

@@ -172,7 +172,6 @@ TRANSCRIPTS = {
     "example-2": (None, "example 2"),
     "example-2-out": (None, "example 2 --out {bundle}"),
     "example-lp": (None, "example lp"),
-    "example-lp-p3": (None, "example lp --p 3"),
 }
 for _meet_seed in range(6):
     TRANSCRIPTS[f"check-meet-bound-instance-{_meet_seed}-json"] = (

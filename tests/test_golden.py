@@ -128,6 +128,9 @@ def _meet_instance(seed: int) -> OperatorBundle:
     return bundle_for_damped(z, t, params={"m": m, "k": k})
 
 
+# 10^-400, far below every trace value of the random bundle up to n = 10^4.
+TINY = f"1/{10 ** 400}"
+
 # case name -> (bundle builder or None, dominion command line; "{bundle}" is
 # replaced by the bundle's path)
 TRANSCRIPTS = {
@@ -147,6 +150,13 @@ TRANSCRIPTS = {
         lambda: _meet_instance(5), "certify {bundle} --epsilon 1/20 --d-cap 4 --n0-cap 3"
     ),
     "certify-hypothesis-unmet": (_flip, "certify {bundle} --epsilon 1/10"),
+    "certify-exhausted-random-7-tiny-epsilon": (
+        lambda: _random_trace(7), f"certify {{bundle}} --epsilon {TINY} --d-cap 1 --n0-cap 1000"
+    ),
+    "certify-found-random-7": (lambda: _random_trace(7), "certify {bundle} --epsilon 1/1000000"),
+    "certify-exhausted-meet-8-d8": (
+        lambda: _meet_instance(8), "certify {bundle} --epsilon 1/20 --d-cap 8 --n0-cap 5"
+    ),
     "check-meet-bound-unit-gap": (_averaging_damped, "check meet-bound {bundle} --m 1 --k 2"),
     "check-meet-bound-unit-gap-json": (
         _averaging_damped, "check meet-bound {bundle} --m 1 --k 2 --json"
@@ -173,6 +183,14 @@ TRANSCRIPTS = {
     "example-2-out": (None, "example 2 --out {bundle}"),
     "example-lp": (None, "example lp"),
 }
+# The unit-gap S has a_n = (1/6)(5/6)^(n-1) for n >= 1: epsilon at a_16 and
+# a_17, with n0 caps on either side of the power of two 16.
+for _n in (16, 17):
+    for _cap in (16, 17):
+        TRANSCRIPTS[f"certify-unit-gap-a{_n}-cap{_cap}"] = (
+            _averaging_s,
+            f"certify {{bundle}} --epsilon {5 ** (_n - 1)}/{6 ** _n} --n0-cap {_cap}",
+        )
 for _meet_seed in range(6):
     TRANSCRIPTS[f"check-meet-bound-instance-{_meet_seed}-json"] = (
         lambda s=_meet_seed: _meet_instance(s), "check meet-bound {bundle} --json"

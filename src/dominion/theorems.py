@@ -15,6 +15,7 @@ upgrades to a tail guarantee and the report records which kind was earned.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -202,11 +203,11 @@ class ZeroTwoTrace:
         return tuple(a for _, a in self.records)
 
     def first_below(self, threshold: RationalLike) -> int | None:
+        """First recorded n with a_n below the threshold, found by bisection
+        on the nonincreasing norms."""
         bound = rat(threshold)
-        for n, a in self.records:
-            if a < bound:
-                return n
-        return None
+        i = bisect.bisect_right(self.records, -bound, key=lambda record: -record[1])
+        return self.records[i][0] if i < len(self.records) else None
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,9 @@ class CertificateSearch:
 
     A successful search is a tail guarantee by trace monotonicity.
     Exhaustion of the caps is reported as such and never as a
-    falsification.
+    falsification. The search costs O(log n0_cap) products per d and
+    stops at the first d whose Z^d repeats an earlier power, so exhausting
+    is reported without running every d up to ``d_cap``.
     """
 
     command: str
@@ -660,22 +663,6 @@ def averaging_defect(
 # -- zero-two traces and certificates ----------------------------------------
 
 
-def _zero_two_norms(
-    z: MatrixOperator,
-    t: MatrixOperator,
-    k: int,
-    d: int,
-    n_max: int,
-) -> Iterator[Fraction]:
-    """The zero-two walk: yield a_n = |Z^d (T^(n+k) - T^n)| for n = 0..n_max,
-    each difference operator the previous one multiplied by T on the left."""
-    current = (z**d) @ (t**k - MatrixOperator.identity(t.space))
-    yield current.norm()
-    for _ in range(n_max):
-        current = t @ current
-        yield current.norm()
-
-
 def zero_two_trace(
     z: MatrixOperator,
     t: MatrixOperator,
@@ -700,8 +687,70 @@ def zero_two_trace(
         if not op.is_positive() or not op.is_contraction():
             raise HypothesisViolation(f"{name} must be a positive contraction")
 
-    records = tuple(enumerate(_zero_two_norms(z, t, k, d, n_max)))
-    return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=records)
+    current = (z**d) @ (t**k - MatrixOperator.identity(t.space))
+    norms = [current.norm()]
+    for _ in range(n_max):  # each difference is the previous one times T
+        current = t @ current
+        norms.append(current.norm())
+    return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=tuple(enumerate(norms)))
+
+
+def _probe(op: MatrixOperator, upper: Fraction, lower: Fraction = Fraction(0)) -> Fraction:
+    """|op|, which must lie between the trace values bracketing its n."""
+    norm = op.norm()
+    if not lower <= norm <= upper:
+        raise InternalConsistencyError(
+            "a certificate probe broke the monotonicity of the zero-two trace"
+        )
+    return norm
+
+
+def _gallop_first_below(
+    start: MatrixOperator,
+    squares: list[MatrixOperator],
+    eps: Fraction,
+    n0_cap: int,
+) -> tuple[int, Fraction] | None:
+    """The first n <= n0_cap with a_n = |T^n start| < eps, and a_n there.
+
+    a_n is nonincreasing because T is a contraction. So the search probes
+    n = 0, 1, 2, 4, ... below n0_cap, then n0_cap itself, and bisects the
+    first bracket (lo, hi] with a_hi < eps by descending powers of two from
+    T^lo start. ``squares[i]`` is T^(2^i); the list starts as [T], grows on
+    demand and is shared by the calls of one search. No product goes past
+    T^n0_cap start.
+    """
+
+    def square(i: int) -> MatrixOperator:
+        while len(squares) <= i:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[i]
+
+    lo, lo_x, lo_a = 0, start, start.norm()
+    if lo_a < eps:
+        return 0, lo_a
+    while True:
+        if lo == n0_cap:
+            return None
+        hi = min(max(2 * lo, 1), n0_cap)
+        hi_x = lo_x
+        for i in range((hi - lo).bit_length()):
+            if (hi - lo) >> i & 1:
+                hi_x = square(i) @ hi_x
+        hi_a = _probe(hi_x, lo_a)
+        if hi_a < eps:
+            break
+        lo, lo_x, lo_a = hi, hi_x, hi_a
+    for i in reversed(range((hi - lo - 1).bit_length())):
+        mid = lo + (1 << i)
+        if mid < hi:
+            mid_x = square(i) @ lo_x
+            mid_a = _probe(mid_x, lo_a, hi_a)
+            if mid_a < eps:
+                hi, hi_a = mid, mid_a
+            else:
+                lo, lo_x, lo_a = mid, mid_x, mid_a
+    return hi, hi_a
 
 
 def find_epsilon_certificate(
@@ -722,6 +771,12 @@ def find_epsilon_certificate(
     returns the first pair found (sufficient for all n >= n0 because the
     trace is exactly nonincreasing) or reports exhaustion, never a
     falsification.
+
+    Monotonicity also makes the search cheap: each d costs O(log n0_cap)
+    products and norms (``_gallop_first_below``), with the squares T^(2^i)
+    shared by every d. The trace depends on d only through Z^d, so the d loop
+    stops at the first Z^d equal to an earlier power: that trace, and every
+    later one, repeats a trace that already exhausted.
     """
     if m < 0 or k < 1:
         raise ValueError("require m >= 0 and k >= 1")
@@ -740,13 +795,23 @@ def find_epsilon_certificate(
     if not all(h.holds for h in hyps):
         return search(Verdict.HYPOTHESIS_UNMET)
 
+    gap = t**k - MatrixOperator.identity(t.space)
+    squares = [t]
+    z_powers: set[MatrixOperator] = set()
+    z_power = z
     for d in range(1, d_cap + 1):
-        for n, norm in enumerate(_zero_two_norms(z, t, k, d, n0_cap)):
-            if norm < eps:
-                return search(
-                    Verdict.VERIFIED,
-                    certificate=(d, n),
-                    achieved_norm=norm,
-                    guarantee=TAIL_BY_MONOTONICITY,
-                )
+        if d > 1:
+            z_power = z @ z_power
+        if z_power in z_powers:
+            break
+        z_powers.add(z_power)
+        found = _gallop_first_below(z_power @ gap, squares, eps, n0_cap)
+        if found is not None:
+            n, norm = found
+            return search(
+                Verdict.VERIFIED,
+                certificate=(d, n),
+                achieved_norm=norm,
+                guarantee=TAIL_BY_MONOTONICITY,
+            )
     return search(Verdict.EXHAUSTED)

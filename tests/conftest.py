@@ -6,7 +6,8 @@ recomputed from its defining supremum over sign patterns, and
 sup-preservation is re-decided behaviorally on vertex pairs. The ``ref_*``
 functions are a per-entry ``Fraction`` reference for the integer kernel of
 ``MatrixOperator``; ``ref_dual_row_sum`` reaches the L1 norm through the
-dual side instead of the column sums. The weighted 2-norm has two oracles:
+dual side instead of the column sums, and ``ref_certificate_scan`` is the
+linear walk that the galloping certificate search replaces. The weighted 2-norm has two oracles:
 ``ref_l2_compare`` decides it from determinants instead of elimination, and
 ``sigma_max_uniform_2x2`` approximates it in floating point from a closed
 form on uniform two-point spaces.
@@ -189,6 +190,31 @@ def ref_grid_gaps(
             t_prod = ref_compose(t_prod, ref_power(t, e))
         gaps.append((exponents, ref_norm(weights, ref_sub(s_prod, t_prod))))
     return gaps
+
+
+def ref_certificate_scan(
+    weights: tuple[Fraction, ...],
+    z: Rows,
+    t: Rows,
+    k: int,
+    epsilon: Fraction,
+    d_cap: int,
+    n0_cap: int,
+) -> tuple[tuple[int, int] | None, Fraction | None]:
+    """The linear certificate scan: for d = 1..d_cap in order, the first
+    n <= n0_cap with a_n = |Z^d (T^(n+k) - T^n)| < epsilon, one more factor
+    of T per step. Returns ``((d, n), a_n)``, or ``(None, None)`` when the
+    caps run out."""
+    gap = ref_sub(ref_power(t, k), ref_identity(len(weights)))
+    for d in range(1, d_cap + 1):
+        current = ref_compose(ref_power(z, d), gap)
+        for n in range(n0_cap + 1):
+            if n:
+                current = ref_compose(t, current)
+            norm = ref_norm(weights, current)
+            if norm < epsilon:
+                return (d, n), norm
+    return None, None
 
 
 # -- oracles for the weighted 2-norm ------------------------------------------

@@ -27,7 +27,7 @@ from dominion import (
 )
 from dominion.sweeps import sweep_dominated_powers, sweep_family_grid, sweep_pair_product
 
-from conftest import modulus_sup_oracle, sigma_max_uniform_2x2
+from conftest import modulus_sup_oracle, ref_certificate_scan, sigma_max_uniform_2x2
 
 
 def _stamp(index: int, name: str, started: float, budget: float | None = None) -> None:
@@ -179,3 +179,20 @@ def test_criterion_10_certificate_search():
     blocked = find_epsilon_certificate(identity, flip, 0, 1, Fraction(1, 100))
     assert blocked.verdict is Verdict.HYPOTHESIS_UNMET
     _stamp(10, "certificate search outcomes", started)
+
+
+def test_criterion_10_certificate_search_default_caps_budget():
+    # Default caps (d <= 8, n0 <= 10^4) on a 4-point contraction: the
+    # galloping search exhausts in O(log n0) products, and Z = I has one d.
+    t = random_positive_contraction(7, 4, denom_cap=64)
+    identity = MatrixOperator.identity(t.space)
+    small = Fraction(1, 10**6)
+    expected = ref_certificate_scan(t.space.weights, identity.entries, t.entries, 1, small, 1, 300)
+    started = time.monotonic()
+    exhausted = find_epsilon_certificate(identity, t, 0, 1, Fraction(1, 10**400))
+    assert exhausted.verdict is Verdict.EXHAUSTED
+    assert (exhausted.d_cap, exhausted.n0_cap) == (8, 10_000)
+    found = find_epsilon_certificate(identity, t, 0, 1, small)
+    assert found.certificate == (1, 222)
+    assert (found.certificate, found.achieved_norm) == expected
+    _stamp(10, "certificate search under default caps", started, budget=10.0)

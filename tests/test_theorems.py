@@ -4,8 +4,9 @@ traces, decomposition witnesses, and the certificate search."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import dominion.theorems
 from dominion import (
     CommutingFamily,
     DominatedPair,
@@ -28,9 +29,17 @@ from dominion import (
     zero_two_trace,
 )
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
-from dominion.theorems import _grid_gaps, _power_gap_report, _power_products
+from dominion.core import InternalConsistencyError
+from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report, _power_products
 
-from conftest import ref_compose, ref_grid_gaps, ref_power
+from conftest import (
+    ref_certificate_scan,
+    ref_compose,
+    ref_grid_gaps,
+    ref_norm,
+    ref_power,
+    ref_sub,
+)
 
 
 @pytest.fixture
@@ -378,6 +387,21 @@ class TestZeroTwoTrace:
         assert trace.first_below(Fraction(1, 100)) == 17
         assert trace.first_below(Fraction(1, 10 ** 9)) is None
 
+    def test_first_below_matches_a_linear_search(self, identity2, flip):
+        t = random_positive_contraction(seed=9400, n=3, denom_cap=64)
+        traces = [
+            zero_two_trace(MatrixOperator.identity(t.space), t, 2, 1, 30),
+            zero_two_trace(identity2, flip, 1, 1, 6),  # constant 2
+            zero_two_trace(identity2, identity2, 1, 1, 6),  # constant 0
+        ]
+        for trace in traces:
+            norms = trace.norms
+            thresholds = {Fraction(0), Fraction(-1), norms[0] + 1, *norms}
+            thresholds |= {(a + b) / 2 for a, b in zip(norms, norms[1:])}
+            for threshold in thresholds:
+                linear = next((n for n, a in trace.records if a < threshold), None)
+                assert trace.first_below(threshold) == linear, threshold
+
     def test_rejects_non_commuting(self, two_point):
         up = MatrixOperator(two_point, ((0, "1/2"), (0, 0)))
         down = MatrixOperator(two_point, ((0, 0), ("1/2", 0)))
@@ -433,15 +457,10 @@ class TestCertificateSearch:
                 assert search.verdict is Verdict.HYPOTHESIS_UNMET
 
 
-def _scan_traces(z, t, k, epsilon, d_cap, n0_cap):
-    """Reference certificate search: for d = 1..d_cap in order, the first
-    index of ``zero_two_trace(z, t, k, d, n0_cap)`` below epsilon."""
-    for d in range(1, d_cap + 1):
-        trace = zero_two_trace(z, t, k, d, n0_cap)
-        n = trace.first_below(epsilon)
-        if n is not None:
-            return (d, n), trace.records[n][1]
-    return None, None
+def _ref_scan(z, t, k, epsilon, d_cap, n0_cap):
+    return ref_certificate_scan(
+        t.space.weights, z.entries, t.entries, k, Fraction(epsilon), d_cap, n0_cap
+    )
 
 
 def _certificate_cases():
@@ -466,7 +485,7 @@ def _certificate_cases():
 
 class TestCertificateMatchesTraceScan:
     """``find_epsilon_certificate`` must return the first (d, n0) that the
-    d-ordered scan of ``zero_two_trace(...).first_below`` finds."""
+    d-ordered linear reference scan ``ref_certificate_scan`` finds."""
 
     @pytest.mark.parametrize("case", _certificate_cases())
     def test_search_equals_scan(self, case):
@@ -476,7 +495,7 @@ class TestCertificateMatchesTraceScan:
             assert any(not h.holds for h in search.hypotheses)
             assert search.certificate is None
             return
-        certificate, norm = _scan_traces(z, t, k, Fraction(epsilon), d_cap, n0_cap)
+        certificate, norm = _ref_scan(z, t, k, epsilon, d_cap, n0_cap)
         assert search.certificate == certificate
         assert search.achieved_norm == norm
         expected = Verdict.EXHAUSTED if certificate is None else Verdict.VERIFIED
@@ -494,6 +513,97 @@ class TestCertificateMatchesTraceScan:
             (Verdict.EXHAUSTED, False),
             (Verdict.HYPOTHESIS_UNMET, False),
         }
+
+
+N0_CAPS = (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+
+
+@st.composite
+def galloping_cases(draw):
+    """(Z, T, m, k, epsilon, d_cap, n0_cap) with epsilon at, just above or
+    just below a trace value of d = 1 or 2: Z = I against a random positive
+    contraction, or a ``meet_bound_instance``, whose Z is a scalar, a
+    diagonal or a permutation."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        t = random_positive_contraction(seed, draw(st.integers(2, 4)), denom_cap=64)
+        z, m, k = MatrixOperator.identity(t.space), 0, draw(st.integers(1, 3))
+    else:
+        z, t, m, k = meet_bound_instance(seed, 3, denom_cap=64)
+    n0_cap = draw(st.sampled_from(N0_CAPS))
+    at = draw(st.integers(0, n0_cap + 1))
+    z_d = ref_power(z.entries, draw(st.integers(1, 2)))
+    t_rows = t.entries
+    value = ref_norm(t.space.weights, ref_compose(
+        z_d, ref_sub(ref_power(t_rows, at + k), ref_power(t_rows, at))
+    ))
+    nudge = draw(st.sampled_from((0, 1, -1)))
+    epsilon = value * (1 + Fraction(nudge, 10**9))
+    assume(epsilon > 0)
+    return z, t, m, k, epsilon, draw(st.integers(1, 4)), n0_cap
+
+
+class TestGallopingSearch:
+    @settings(max_examples=80)
+    @given(galloping_cases())
+    def test_matches_the_linear_reference_scan(self, case):
+        z, t, m, k, epsilon, d_cap, n0_cap = case
+        search = find_epsilon_certificate(z, t, m, k, epsilon, d_cap=d_cap, n0_cap=n0_cap)
+        assert (search.epsilon, search.d_cap, search.n0_cap) == (epsilon, d_cap, n0_cap)
+        if search.verdict is Verdict.HYPOTHESIS_UNMET:
+            assert search.certificate is None
+            return
+        certificate, norm = _ref_scan(z, t, k, epsilon, d_cap, n0_cap)
+        assert (search.certificate, search.achieved_norm) == (certificate, norm)
+        assert search.verdict is (Verdict.EXHAUSTED if certificate is None else Verdict.VERIFIED)
+
+    @staticmethod
+    def _norm_calls(monkeypatch, *args, **caps):
+        calls = []
+        norm = MatrixOperator.norm
+
+        def counting(self):
+            calls.append(None)
+            return norm(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MatrixOperator, "norm", counting)
+            search = find_epsilon_certificate(*args, **caps)
+        return len(calls), search
+
+    def test_identity_z_searches_one_d(self, monkeypatch, gap_pair, identity2):
+        args = (identity2, gap_pair.s, 0, 1, Fraction(1, 10**6))
+        one, _ = self._norm_calls(monkeypatch, *args, d_cap=1, n0_cap=40)
+        fifty, search = self._norm_calls(monkeypatch, *args, d_cap=50, n0_cap=40)
+        assert fifty == one
+        assert search.verdict is Verdict.EXHAUSTED
+        assert search.d_cap == 50
+
+    def test_permutation_z_stops_after_its_period(self, monkeypatch):
+        z, t, m, k = meet_bound_instance(8, 3, denom_cap=64)  # Z^3 = I, Z^2 != I
+        args = (z, t, m, k, Fraction(1, 20))
+        counts = [
+            self._norm_calls(monkeypatch, *args, d_cap=d_cap, n0_cap=5)[0] for d_cap in (2, 3, 8)
+        ]
+        assert counts[0] < counts[1] == counts[2]
+
+    def test_norms_grow_with_the_log_of_the_cap(self, monkeypatch, gap_pair, identity2):
+        args = (identity2, gap_pair.s, 0, 1, Fraction(1, 10**4000))
+        base, _ = self._norm_calls(monkeypatch, *args, d_cap=1, n0_cap=0)
+        probes, search = self._norm_calls(monkeypatch, *args, d_cap=1, n0_cap=10_000)
+        assert search.verdict is Verdict.EXHAUSTED
+        assert probes - base <= 2 * (10_000).bit_length()
+
+    def test_a_rising_probe_is_an_internal_inconsistency(self, monkeypatch, identity2):
+        # 2 I passes no contraction check; with the ledger forced to hold,
+        # its trace 1, 2, 4, ... rises, and the search must refuse it.
+        monkeypatch.setattr(
+            dominion.theorems,
+            "_damping_hypotheses",
+            lambda *args: ([HypothesisCheck("forced", True)], Fraction(0)),
+        )
+        with pytest.raises(InternalConsistencyError, match="monotonicity"):
+            find_epsilon_certificate(identity2, identity2 * 2, 0, 1, Fraction(1, 2))
 
 
 class TestDominatedPowersProperty:

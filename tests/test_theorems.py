@@ -588,7 +588,7 @@ class TestGallopingSearch:
         assert counts[0] < counts[1] == counts[2]
 
     def test_norms_grow_with_the_log_of_the_cap(self, monkeypatch, gap_pair, identity2):
-        args = (identity2, gap_pair.s, 0, 1, Fraction(1, 10**4000))
+        args = (identity2, gap_pair.s, 0, 1, Fraction(1, 10**1000))  # a_10000 > 10^-800
         base, _ = self._norm_calls(monkeypatch, *args, d_cap=1, n0_cap=0)
         probes, search = self._norm_calls(monkeypatch, *args, d_cap=1, n0_cap=10_000)
         assert search.verdict is Verdict.EXHAUSTED

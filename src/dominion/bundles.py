@@ -55,10 +55,10 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(q: Fraction, digits: int = 12) -> str:
-    """Display-only decimal at a fixed number of significant digits."""
+def decimal_str(q: Fraction) -> str:
+    """Display-only decimal at 12 significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         value = Decimal(q.numerator) / Decimal(q.denominator)
     return str(value)
 

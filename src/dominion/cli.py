@@ -186,6 +186,14 @@ def _setting(args, bundle: OperatorBundle, name: str, default, read=OperatorBund
     return read(bundle, name, default) if value is None else value
 
 
+def _reject_unread(args, statement: str, names: tuple[str, ...]) -> None:
+    """A flag that the statement never reads is an input error, not a no-op."""
+    for name in names:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise CliInputError(f"{flag}: {statement} does not read this flag")
+
+
 def _identity_or_role(bundle: OperatorBundle, role: str) -> MatrixOperator:
     if bundle.has_role(role):
         return bundle.operator_for_role(role)
@@ -196,6 +204,8 @@ def _identity_or_role(bundle: OperatorBundle, role: str) -> MatrixOperator:
 
 
 def _cmd_check(args) -> int:
+    unread = ("n0", "n_max") if args.statement == "meet-bound" else ("m", "k")
+    _reject_unread(args, f"check {args.statement}", unread)
     bundle = load_bundle(args.bundle)
     if args.statement in ("pair-product", "damped-powers"):
         (n0,) = _base_exponents(args, bundle, 1)
@@ -357,6 +367,7 @@ def _cmd_sweep(args) -> int:
             seed0=args.seed,
         )
     else:  # meet-bound
+        _reject_unread(args, "sweep meet-bound", ("n_max",))
         result = sweep_meet_bound(args.count, n=args.n, seed0=args.seed)
     last_seed = args.seed + result.seeds_consumed - 1
     print(

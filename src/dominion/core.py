@@ -389,17 +389,25 @@ class MatrixOperator:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> MatrixOperator:
+        """Square-and-multiply started from its first factor, x^(2^i) for
+        the lowest set bit i of the exponent, not from the identity:
+        ``x**0`` is the identity, ``x**1`` is ``x`` itself, and neither
+        makes a product."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("operator powers are defined for integer exponents >= 0")
-        result = MatrixOperator.identity(self.space)
+        if exponent == 0:
+            return MatrixOperator.identity(self.space)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while not exponent & 1:
+            base = base @ base
+            exponent >>= 1
+        result = base
+        exponent >>= 1
+        while exponent:
+            base = base @ base
+            if exponent & 1:
                 result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
+            exponent >>= 1
         return result
 
     def hadamard(self, other: MatrixOperator) -> MatrixOperator:

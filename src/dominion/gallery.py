@@ -74,21 +74,18 @@ def shear_trio(
     u: RationalLike,
     v: RationalLike,
     lam: RationalLike,
-    require_dominance: bool = False,
 ) -> ShearTrio:
     """Build the damping trio (Z, S, T) with its closed-form norms.
 
     Contractivity of Z needs u + v <= 1; the boundary u + v = 1, where the
-    damping has norm exactly one, is flagged rather than rejected. The
-    dominance condition 2*lam <= 1 is only enforced when requested.
+    damping has norm exactly one, is flagged rather than rejected. So is a
+    failure of the dominance condition 2*lam <= 1 (``dominance``).
     """
     u, v, lam = rat(u), rat(v), rat(lam)
     if u < 0 or v < 0 or lam < 0:
         raise ValueError("parameters must be nonnegative")
     if u + v > 1:
         raise ValueError("contractivity requires u + v <= 1")
-    if require_dominance and 2 * lam > 1:
-        raise ValueError("domination requires 2*lam <= 1")
     space = MeasureSpace((1, 1))
     half = Fraction(1, 2)
     z = MatrixOperator(space, ((u, v), (0, u)))
@@ -205,10 +202,10 @@ def random_rational(rng: Random, cap: int) -> Fraction:
     return Fraction(rng.randint(0, den), den)
 
 
-def random_space(rng: Random, n: int, weight_cap: int = 4) -> MeasureSpace:
-    """Random weights in [1/weight_cap, weight_cap] with small denominators."""
+def random_space(rng: Random, n: int) -> MeasureSpace:
+    """Random weights in [1/4, 4] with denominators at most 4."""
     return MeasureSpace(tuple(
-        Fraction(rng.randint(1, weight_cap), rng.randint(1, weight_cap))
+        Fraction(rng.randint(1, 4), rng.randint(1, 4))
         for _ in range(n)
     ))
 

@@ -26,8 +26,6 @@ from .theorems import (
     Verdict,
     VerdictReport,
     _exact,
-    _first_failure,
-    _power_products,
     check_family_grid,
     check_meet_bound,
     check_pair_product,
@@ -105,6 +103,11 @@ def _sweep(
     return SweepResult(kind, count, checked, passed, skipped, consumed, tuple(failures))
 
 
+def _report_outcome(report: VerdictReport, where: str) -> tuple[Verdict, str]:
+    description = f"gap norm {_exact(report.failure_norm)} at {where} {report.failure_point}"
+    return report.verdict, description
+
+
 def sweep_dominated_powers(
     count: int,
     n: int = 4,
@@ -114,19 +117,14 @@ def sweep_dominated_powers(
     denom_cap: int | None = None,
 ) -> SweepResult:
     """Random dominated pairs with gap norm strictly below one must keep
-    |S^j - T^j| strictly below one for every j up to n_max, exactly."""
+    |S^j - T^j| strictly below one for every j up to n_max, exactly: the
+    one-pair family grid with base exponent 1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
     def check(pair: DominatedPair) -> tuple[Verdict, str]:
-        if pair.gap_norm() >= 1:
-            return Verdict.HYPOTHESIS_UNMET, ""
-        products = _power_products(pair.s, pair.t, pair.s, pair.t, 1, n_max)
-        failure = _first_failure(((j,), s_pow.distance(t_pow)) for j, s_pow, t_pow in products)
-        if failure is None:
-            return Verdict.VERIFIED, ""
-        (j,), gap = failure
-        return Verdict.FALSIFIED, f"gap norm {_exact(gap)} at power {j}"
+        family = CommutingFamily((pair,), (1,))
+        return _report_outcome(check_family_grid(family, (n_max,)), "power")
 
     return _sweep(
         "dominated-powers",
@@ -135,11 +133,6 @@ def sweep_dominated_powers(
         lambda seed: random_dominated_pair(seed, n, density=density, denom_cap=denom_cap),
         check,
     )
-
-
-def _report_outcome(report: VerdictReport, where: str) -> tuple[Verdict, str]:
-    description = f"gap norm {_exact(report.failure_norm)} at {where} {report.failure_point}"
-    return report.verdict, description
 
 
 def sweep_pair_product(

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .calculus import is_lattice_homomorphism, operator_meet
 from .core import (
@@ -58,6 +58,7 @@ __all__ = [
 
 PREFIX_ONLY = "prefix-only"
 TAIL_BY_MONOTONICITY = "tail-by-monotonicity"
+GRID_CAP = 200_000  # most exponent points one family-grid check walks
 
 INTERNAL_INCONSISTENCY_NOTE = (
     "exact conclusion failure under verified hypotheses: this indicates a "
@@ -77,7 +78,7 @@ class HypothesisViolation(ValueError):
 
 
 class GridCapExceeded(RuntimeError):
-    """The requested exponent grid is larger than the configured cap."""
+    """The requested exponent grid has more than ``GRID_CAP`` points."""
 
 
 @dataclass(frozen=True)
@@ -316,36 +317,23 @@ def _damping_hypotheses(
 # -- power-gap persistence checkers -------------------------------------------
 
 
-def _power_products(
-    ax: MatrixOperator,
-    by: MatrixOperator,
-    x: MatrixOperator,
-    y: MatrixOperator,
-    n0: int,
-    n_max: int,
-) -> Iterator[tuple[int, MatrixOperator, MatrixOperator]]:
-    """The power-gap kernel: yield ``(n, A X^n, B Y^n)`` for n = n0..n_max
-    from ``ax = A X^n0`` and ``by = B Y^n0``, by one right multiplication
-    per side per step, so factor order is kept and nothing need commute."""
-    yield n0, ax, by
-    for n in range(n0 + 1, n_max + 1):
-        ax = ax @ x
-        by = by @ y
-        yield n, ax, by
-
-
 def _grid_gaps(
     s_factors: Sequence[MatrixOperator],
     t_factors: Sequence[MatrixOperator],
     n0s: Sequence[int],
     m_max: Sequence[int],
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield ``(exponents, |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|)``
-    for n_i in [n0s[i], m_max[i]] in lexicographic order.
+    """The power-gap walk: yield ``(exponents,
+    |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|)`` for n_i in
+    [n0s[i], m_max[i]] in lexicographic order.
 
     The leading axes run as an odometer of cached prefix products: stepping
     axis j multiplies prefix j by S_j (and T_j), and the deeper prefixes are
-    rebuilt from their base powers. The last axis runs the power-gap kernel.
+    rebuilt from their base powers. The last axis steps by one right
+    multiplication per side, so factor order is kept and nothing need
+    commute. Holding a leading axis at exponent 1 gives the one-axis walk
+    of ``|A X^n - B Y^n|`` with ``A = S_1``, ``X = S_2`` (and likewise for
+    T). Each gap is measured by ``MatrixOperator.distance``.
     """
     last = len(n0s) - 1
     s_base = [s**n0 for s, n0 in zip(s_factors, n0s)]
@@ -359,12 +347,13 @@ def _grid_gaps(
         for j in range(axis, last):
             s_prefix.append(s_prefix[-1] @ s_base[j] if j else s_base[j])
             t_prefix.append(t_prefix[-1] @ t_base[j] if j else t_base[j])
-        s_start = s_prefix[-1] @ s_base[last] if last else s_base[last]
-        t_start = t_prefix[-1] @ t_base[last] if last else t_base[last]
+        s_prod = s_prefix[-1] @ s_base[last] if last else s_base[last]
+        t_prod = t_prefix[-1] @ t_base[last] if last else t_base[last]
         lead = tuple(exponents)
-        for n, s_prod, t_prod in _power_products(
-            s_start, t_start, s_factors[last], t_factors[last], n0s[last], m_max[last]
-        ):
+        yield lead + (n0s[last],), s_prod.distance(t_prod)
+        for n in range(n0s[last] + 1, m_max[last] + 1):
+            s_prod = s_prod @ s_factors[last]
+            t_prod = t_prod @ t_factors[last]
             yield lead + (n,), s_prod.distance(t_prod)
         axis = last - 1
         while axis >= 0 and exponents[axis] == m_max[axis]:
@@ -377,13 +366,6 @@ def _grid_gaps(
             axis += 1
 
 
-def _first_failure(
-    gaps: Iterable[tuple[tuple[int, ...], Fraction]],
-) -> tuple[tuple[int, ...], Fraction] | None:
-    """The first ``(point, gap)`` with gap norm >= 1, or None."""
-    return next(((point, gap) for point, gap in gaps if gap >= 1), None)
-
-
 def _power_gap_report(
     command: str,
     hyps: Sequence[HypothesisCheck],
@@ -391,13 +373,14 @@ def _power_gap_report(
     ranges: tuple[tuple[int, int], ...],
 ) -> VerdictReport:
     """Take the first gap as the base gap norm and append it to the
-    hypotheses; if they all hold, check the remaining gaps over ``ranges``."""
+    hypotheses; if they all hold, check the remaining gaps over ``ranges``
+    and report the first ``(point, gap)`` with gap norm >= 1, if any."""
     _, base = next(gaps)
     hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {_exact(base)}"))
     values = (("base gap norm", base),)
     if not all(h.holds for h in hyps):
         return VerdictReport(command, hyps, Verdict.HYPOTHESIS_UNMET, values=values)
-    point, gap = _first_failure(gaps) or (None, None)
+    point, gap = next(((point, gap) for point, gap in gaps if gap >= 1), (None, None))
     return VerdictReport(
         command,
         hyps,
@@ -425,7 +408,6 @@ def check_pair_product(
     s2: MatrixOperator,
     n0: int,
     n_max: int,
-    command: str | None = None,
 ) -> VerdictReport:
     """Product law for two commuting dominated pairs: once the gap norm
     |S1 S2^n - T1 T2^n| drops below one at n = n0, it stays below one.
@@ -437,7 +419,7 @@ def check_pair_product(
     _check_range(n0, n_max)
     for other in (t2, s1, s2):
         t1._require_same_space(other)
-    command = command or f"pair-product(n0={n0}, n_max={n_max})"
+    command = f"pair-product(n0={n0}, n_max={n_max})"
 
     hyps: list[HypothesisCheck] = []
     for name, op in (("T1", t1), ("T2", t2), ("S1", s1), ("S2", s2)):
@@ -445,9 +427,8 @@ def check_pair_product(
     hyps.append(HypothesisCheck("S1 dominates T1", s1.dominates(t1)))
     hyps.append(HypothesisCheck("S2 dominates T2", s2.dominates(t2)))
     hyps.append(HypothesisCheck("S1 S2 = S2 S1", s1.commutes_with(s2)))
-    products = _power_products(s1 @ s2**n0, t1 @ t2**n0, s2, t2, n0, n_max)
-    gaps = (((n,), a.distance(b)) for n, a, b in products)
-    return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
+    gaps = _grid_gaps((s1, s2), (t1, t2), (1, n0), (1, n_max))
+    return _power_gap_report(command, hyps, ((p[1:], g) for p, g in gaps), ((n0, n_max),))
 
 
 def check_damped_powers(
@@ -456,7 +437,6 @@ def check_damped_powers(
     t: MatrixOperator,
     n0: int,
     n_max: int,
-    command: str | None = None,
 ) -> VerdictReport:
     """Damped power gaps: once |Z (S^n - T^n)| < 1 at n = n0 it stays
     below one, for positive contractions with T <= S and ZS = SZ.
@@ -465,23 +445,20 @@ def check_damped_powers(
     _check_range(n0, n_max)
     z._require_same_space(s)
     z._require_same_space(t)
-    command = command or f"damped-powers(n0={n0}, n_max={n_max})"
+    command = f"damped-powers(n0={n0}, n_max={n_max})"
 
     hyps: list[HypothesisCheck] = []
     for name, op in (("Z", z), ("S", s), ("T", t)):
         hyps.extend(_positive_contraction_checks(name, op))
     hyps.append(HypothesisCheck("S dominates T", s.dominates(t)))
     hyps.append(HypothesisCheck("Z S = S Z", z.commutes_with(s)))
-    products = _power_products(z @ s**n0, z @ t**n0, s, t, n0, n_max)
-    gaps = (((n,), a.distance(b)) for n, a, b in products)
-    return _power_gap_report(command, hyps, gaps, ((n0, n_max),))
+    gaps = _grid_gaps((z, s), (z, t), (1, n0), (1, n_max))
+    return _power_gap_report(command, hyps, ((p[1:], g) for p, g in gaps), ((n0, n_max),))
 
 
 def check_family_grid(
     family: CommutingFamily,
     m_max: Sequence[int],
-    grid_cap: int = 200_000,
-    command: str | None = None,
 ) -> VerdictReport:
     """Grid form of the product law for a commuting family: if the base gap
     norm |prod S_i^(n_i0) - prod T_i^(n_i0)| is below one, the same holds at
@@ -491,11 +468,12 @@ def check_family_grid(
     commutation) were enforced when the family was built; the checker
     re-records them as granted and validates the base norm exactly.
 
-    The grid is walked in lexicographic order, so a FALSIFIED report names
-    the lexicographically first failing point. The leading axes run as an
-    odometer of cached prefix products and the last axis through the
-    power-gap kernel, at about two products per grid point; the walk holds
-    O(number of pairs) operators, never a table of powers.
+    The grid is walked by ``_grid_gaps``, the one power-gap walk, in
+    lexicographic order, so a FALSIFIED report names the lexicographically
+    first failing point. It costs about two products per grid point and
+    holds O(number of pairs) operators, never a table of powers. A grid of
+    more than ``GRID_CAP`` points raises ``GridCapExceeded``. A one-pair
+    family with base exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents
     if len(m_max) != family.size:
@@ -503,11 +481,11 @@ def check_family_grid(
     if any(m < n0 for m, n0 in zip(m_max, n0s)):
         raise ValueError("each m_max entry must be >= the pair's base exponent")
     grid_size = math.prod(m - n0 + 1 for m, n0 in zip(m_max, n0s))
-    if grid_size > grid_cap:
+    if grid_size > GRID_CAP:
         raise GridCapExceeded(
-            f"requested grid has {grid_size} points, more than the cap {grid_cap}"
+            f"requested grid has {grid_size} points, more than the cap {GRID_CAP}"
         )
-    command = command or f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"
+    command = f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"
 
     hyps = [
         HypothesisCheck(
@@ -527,7 +505,6 @@ def check_meet_bound(
     t: MatrixOperator,
     m: int,
     k: int,
-    command: str | None = None,
 ) -> VerdictReport:
     """Halving step of the dichotomy: for a sup-preserving contraction Z
     commuting with the positive contraction T, a damped gap norm
@@ -542,7 +519,7 @@ def check_meet_bound(
     if k < 1:
         raise ValueError("k must be >= 1")
     z._require_same_space(t)
-    command = command or f"meet-bound(m={m}, k={k})"
+    command = f"meet-bound(m={m}, k={k})"
 
     t_high = t ** (m + k)
     t_low = t**m

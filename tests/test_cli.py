@@ -315,6 +315,25 @@ class TestCheckCommand:
         assert main(["check", "damped-powers", "/no/such/file.bundle"]) == 3
 
 
+class TestUnreadFlags:
+    """A flag that the chosen statement never reads is an input error that
+    names the flag and the statement, not a silent no-op."""
+
+    @pytest.mark.parametrize("argv, flag, statement", [
+        (["check", "meet-bound", "B", "--n0", "7", "--n-max", "5"], "--n0", "check meet-bound"),
+        (["check", "pair-product", "B", "--m", "3", "--k", "9"], "--m", "check pair-product"),
+        (["check", "family-grid", "B", "--m", "3"], "--m", "check family-grid"),
+        (["sweep", "meet-bound", "--count", "2", "--n-max", "9"], "--n-max", "sweep meet-bound"),
+    ], ids=["check-meet-bound-n0-n-max", "check-pair-product-m-k", "check-family-grid-m",
+            "sweep-meet-bound-n-max"])
+    def test_unread_flag_is_input_error(self, gap_bundle_path, capsys, argv, flag, statement):
+        argv = [gap_bundle_path if a == "B" else a for a in argv]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {statement} does not read this flag\n"
+        assert captured.out == ""
+
+
 class TestTraceCommand:
     def test_geometric_rows(self, averaging_bundle_path, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"

@@ -64,9 +64,8 @@ class TestShearTrio:
             shear_trio("-1/2", "1/2", 0)
         with pytest.raises(ValueError):
             shear_trio("2/3", "2/3", 0)
-        with pytest.raises(ValueError):
-            shear_trio("1/2", "1/2", "3/4", require_dominance=True)
-        assert shear_trio("1/2", "1/2", "1/2", require_dominance=True).dominance
+        assert not shear_trio("1/2", "1/2", "3/4").dominance
+        assert shear_trio("1/2", "1/2", "1/2").dominance
 
     def test_shear_commutes_with_averaging(self):
         trio = shear_trio("1/5", "2/5", "1/8")

@@ -30,7 +30,7 @@ from dominion import (
 )
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.core import InternalConsistencyError
-from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report, _power_products
+from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report
 
 from conftest import (
     ref_certificate_scan,
@@ -167,7 +167,7 @@ class TestFamilyGrid:
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
         family = CommutingFamily(pairs=(pair, pair), base_exponents=(1, 1))
         with pytest.raises(GridCapExceeded):
-            check_family_grid(family, (1000, 1000), grid_cap=1000)
+            check_family_grid(family, (1000, 1000))
 
     def test_bound_validation(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
@@ -231,15 +231,18 @@ class TestPowerGapKernel:
 
     @settings(max_examples=40)
     @given(grid_case(min_axes=2), st.integers(min_value=0, max_value=4))
-    def test_power_products_match_reference(self, case, steps):
+    def test_first_axis_held_at_one_matches_reference(self, case, steps):
+        """The shape the pair-product and damped-powers checkers walk:
+        |A X^n - B Y^n| for arbitrary, non-commuting A, B, X and Y."""
         weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
         space = MeasureSpace(weights)
-        ax = MatrixOperator(space, ref_compose(a, ref_power(x, n0)))
-        by = MatrixOperator(space, ref_compose(b, ref_power(y, n0)))
-        xs, ys = MatrixOperator(space, x), MatrixOperator(space, y)
-        got = [(n, p.entries, q.entries) for n, p, q in _power_products(ax, by, xs, ys, n0, n0 + steps)]
+        s_ops = [MatrixOperator(space, a), MatrixOperator(space, x)]
+        t_ops = [MatrixOperator(space, b), MatrixOperator(space, y)]
+        got = list(_grid_gaps(s_ops, t_ops, (1, n0), (1, n0 + steps)))
         assert got == [
-            (n, ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n)))
+            ((1, n), ref_norm(weights, ref_sub(
+                ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n))
+            )))
             for n in range(n0, n0 + steps + 1)
         ]
 
@@ -261,6 +264,42 @@ class TestPowerGapKernel:
         assert report.values == (("base gap norm", Fraction(1, 2)),)
         unmet = _power_gap_report("c", [], iter(gaps[1:]), ((1, 2), (1, 2)))
         assert unmet.verdict is Verdict.HYPOTHESIS_UNMET and unmet.failure_point is None
+
+
+class TestCompositionCounts:
+    """Products made, counted by wrapping ``MatrixOperator.compose``."""
+
+    @pytest.fixture
+    def compositions(self, monkeypatch):
+        calls = []
+        compose = MatrixOperator.compose
+
+        def counted(self, other):
+            calls.append(None)
+            return compose(self, other)
+
+        monkeypatch.setattr(MatrixOperator, "compose", counted)
+        return calls
+
+    ROWS = ((Fraction(1, 2), Fraction(1, 3), 0), (Fraction(1, 4), 0, 1), (0, Fraction(2, 3), 0))
+
+    def test_zeroth_and_first_powers_make_no_product(self, compositions):
+        x = MatrixOperator(MeasureSpace((1, 2, 3)), self.ROWS)
+        assert x**0 == MatrixOperator.identity(x.space)
+        assert x**1 is x
+        assert compositions == []
+
+    @pytest.mark.parametrize("e", range(5))
+    def test_powers_match_reference(self, compositions, e):
+        x = MatrixOperator(MeasureSpace((1, 2, 3)), self.ROWS)
+        assert (x**e).entries == ref_power(x.entries, e)
+        # one squaring per bit below the top, one product per set bit but the first
+        assert len(compositions) == max(e.bit_length() + e.bit_count() - 2, 0)
+
+    def test_dominated_powers_sweep_makes_98_products_per_checked_pair(self, compositions):
+        result = sweep_dominated_powers(5, n=4, n_max=50, seed0=7_000_000, denom_cap=64)
+        assert result.checked == 5
+        assert len(compositions) == 490
 
 
 class TestMeetBound:

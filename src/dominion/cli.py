@@ -288,11 +288,17 @@ def _compare_line(label: str, expected: int, computed: int) -> bool:
 
 
 def _cmd_example(args) -> int:
+    shear = {"u": "1/2", "v": "1/2", "lambda": "1/4"}  # example 1's flags and defaults
+    if args.which != "1":
+        _reject_unread(args, f"example {args.which}", tuple(shear))
     ok = True
     # The regression lines go to stderr when stdout carries the bundle.
     with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
         if args.which == "1":
-            trio = shear_trio(args.u, args.v, args.lam)
+            trio = shear_trio(*(
+                default if getattr(args, name) is None else getattr(args, name)
+                for name, default in shear.items()
+            ))
             params = {
                 "u": rational_str(trio.u), "v": rational_str(trio.v), "lambda": rational_str(trio.lam)
             }
@@ -474,9 +480,9 @@ def build_parser() -> _Parser:
 
     example = sub.add_parser("example", help="emit a gallery bundle with its regression check")
     example.add_argument("which", choices=["1", "2", "lp"])
-    example.add_argument("--u", type=_rational_flag("--u"), default="1/2")
-    example.add_argument("--v", type=_rational_flag("--v"), default="1/2")
-    example.add_argument("--lambda", dest="lam", type=_rational_flag("--lambda"), default="1/4")
+    example.add_argument("--u", type=_rational_flag("--u"), default=None)
+    example.add_argument("--v", type=_rational_flag("--v"), default=None)
+    example.add_argument("--lambda", type=_rational_flag("--lambda"), default=None)
     example.add_argument("--out", default=None)
     example.set_defaults(func=_cmd_example)
 

@@ -19,6 +19,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -136,9 +137,6 @@ class DominatedPair:
             raise HypothesisViolation("S is not a contraction")
         if not self.t.is_contraction():
             raise HypothesisViolation("T is not a contraction")
-
-    def gap_norm(self) -> Fraction:
-        return self.s.distance(self.t)
 
 
 @dataclass(frozen=True)
@@ -322,65 +320,114 @@ def _grid_gaps(
     t_factors: Sequence[MatrixOperator],
     n0s: Sequence[int],
     m_max: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """The power-gap walk: yield ``(exponents,
-    |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|)`` for n_i in
-    [n0s[i], m_max[i]] in lexicographic order.
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The power-gap walk: yield ``(exponents, num, den)`` with ``num / den =
+    |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|`` for n_i in
+    [n0s[i], m_max[i]], in lexicographic order.
 
-    The leading axes run as an odometer of cached prefix products: stepping
-    axis j multiplies prefix j by S_j (and T_j), and the deeper prefixes are
-    rebuilt from their base powers. The last axis steps by one right
-    multiplication per side, so factor order is kept and nothing need
-    commute. Holding a leading axis at exponent 1 gives the one-axis walk
-    of ``|A X^n - B Y^n|`` with ``A = S_1``, ``X = S_2`` (and likewise for
-    T). Each gap is measured by ``MatrixOperator.distance``.
+    The base gap is the ``distance`` of the base products, since the
+    caller's hypotheses may fail there. The rest need ``0 <= T_i <= S_i``
+    (else ``ValueError``), so every gap is entrywise >= 0 by telescoping,
+    ``prod S - prod T = sum_i T_1...T_(i-1) (S_i - T_i) S_(i+1)...S_k``,
+    and its L1 norm is ``max_j (w^T prod S - w^T prod T)_j / w_j`` for the
+    integer weights w. So only those two rows are walked, as an odometer of
+    prefix rows in factor order (nothing need commute): n^2 integer
+    products per step and side, over the shared denominator
+    ``prod D_i^(n_i)``, ``D_i = lcm(den S_i, den T_i)``, with no gcd. A
+    negative row difference raises ``InternalConsistencyError``.
     """
     last = len(n0s) - 1
     s_base = [s**n0 for s, n0 in zip(s_factors, n0s)]
     t_base = [t**n0 for t, n0 in zip(t_factors, n0s)]
+    s_prod, t_prod = (functools.reduce(operator.matmul, base) for base in (s_base, t_base))
+    gap = s_prod.distance(t_prod)
+    yield tuple(n0s), gap.numerator, gap.denominator
+
+    steps = [_factor_columns(s, t, math.lcm(s.den, t.den)) for s, t in zip(s_factors, t_factors)]
+    for i, (s_cols, t_cols, _) in enumerate(steps):
+        if not all(0 <= b <= a for sc, tc in zip(s_cols, t_cols) for a, b in zip(sc, tc)):
+            raise ValueError(f"factor pair {i + 1} breaks 0 <= T <= S")
+    dens = (den**n0 for (_, _, den), n0 in zip(steps, n0s))
+    bases = [_factor_columns(s, t, den) for s, t, den in zip(s_base, t_base, dens)]
+    weights = s_factors[0].space._integer_weights
+    # prefixes[j] is (w^T S_1^(n_1)...S_j^(n_j), w^T T_1^(n_1)...T_j^(n_j), den).
+    prefixes = [(weights, weights, 1)]
     exponents = list(n0s[:last])
-    s_prefix: list[MatrixOperator] = []
-    t_prefix: list[MatrixOperator] = []
+    base_lead = tuple(exponents)
     axis = 0
     while axis >= 0:
-        del s_prefix[axis:], t_prefix[axis:]
+        del prefixes[axis + 1:]
         for j in range(axis, last):
-            s_prefix.append(s_prefix[-1] @ s_base[j] if j else s_base[j])
-            t_prefix.append(t_prefix[-1] @ t_base[j] if j else t_base[j])
-        s_prod = s_prefix[-1] @ s_base[last] if last else s_base[last]
-        t_prod = t_prefix[-1] @ t_base[last] if last else t_base[last]
+            prefixes.append(_step(prefixes[-1], bases[j]))
+        rows = _step(prefixes[-1], bases[last])
         lead = tuple(exponents)
-        yield lead + (n0s[last],), s_prod.distance(t_prod)
+        if lead != base_lead:  # the base point was measured above
+            yield (*lead, n0s[last]), *_row_gap(weights, *rows)
         for n in range(n0s[last] + 1, m_max[last] + 1):
-            s_prod = s_prod @ s_factors[last]
-            t_prod = t_prod @ t_factors[last]
-            yield lead + (n,), s_prod.distance(t_prod)
+            rows = _step(rows, steps[last])
+            yield (*lead, n), *_row_gap(weights, *rows)
         axis = last - 1
         while axis >= 0 and exponents[axis] == m_max[axis]:
             exponents[axis] = n0s[axis]
             axis -= 1
         if axis >= 0:
             exponents[axis] += 1
-            s_prefix[axis] = s_prefix[axis] @ s_factors[axis]
-            t_prefix[axis] = t_prefix[axis] @ t_factors[axis]
+            prefixes[axis + 1] = _step(prefixes[axis + 1], steps[axis])
             axis += 1
+
+
+def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
+    """``(S columns, T columns, den)``: the numerator columns of ``s`` and
+    ``t`` over ``den``, a common multiple of their denominators."""
+
+    def columns(op: MatrixOperator) -> tuple[tuple[int, ...], ...]:
+        scale = den // op.den
+        return tuple(tuple(p * scale for p in col) for col in zip(*op.num))
+
+    return columns(s), columns(t), den
+
+
+def _step(rows: tuple, factor: tuple) -> tuple:
+    """Right-multiply the rows ``(w^T P_S, w^T P_T, den)`` by a factor pair
+    ``(S columns, T columns, den)``: n^2 integer products per side."""
+    (s_row, t_row, den), (s_cols, t_cols, factor_den) = rows, factor
+    return (
+        [sum(map(operator.mul, s_row, col)) for col in s_cols],
+        [sum(map(operator.mul, t_row, col)) for col in t_cols],
+        den * factor_den,
+    )
+
+
+def _row_gap(weights: Sequence[int], s_row: list[int], t_row: list[int], den: int) -> tuple:
+    """``(num, den')`` with ``num / den' = max_j (s_row - t_row)_j / (w_j den)``,
+    the columns compared by cross-multiplication as in ``MatrixOperator.norm``."""
+    best_sum, best_weight = 0, 1
+    for w_j, a, b in zip(weights, s_row, t_row):
+        diff = a - b
+        if diff < 0:
+            raise InternalConsistencyError("a power gap of dominated factors is not positive")
+        if diff * best_weight > best_sum * w_j:
+            best_sum, best_weight = diff, w_j
+    return best_sum, best_weight * den
 
 
 def _power_gap_report(
     command: str,
     hyps: Sequence[HypothesisCheck],
-    gaps: Iterator[tuple[tuple[int, ...], Fraction]],
+    gaps: Iterator[tuple[tuple[int, ...], int, int]],
     ranges: tuple[tuple[int, int], ...],
 ) -> VerdictReport:
     """Take the first gap as the base gap norm and append it to the
     hypotheses; if they all hold, check the remaining gaps over ``ranges``
-    and report the first ``(point, gap)`` with gap norm >= 1, if any."""
-    _, base = next(gaps)
+    and report the first ``(point, num, den)`` with gap norm ``num / den``
+    >= 1, if any. Only those two gaps become Fractions."""
+    _, num, den = next(gaps)
+    base = Fraction(num, den)
     hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {_exact(base)}"))
     values = (("base gap norm", base),)
     if not all(h.holds for h in hyps):
         return VerdictReport(command, hyps, Verdict.HYPOTHESIS_UNMET, values=values)
-    point, gap = next(((point, gap) for point, gap in gaps if gap >= 1), (None, None))
+    point, num, den = next((gap for gap in gaps if gap[1] >= gap[2]), (None, 0, 1))
     return VerdictReport(
         command,
         hyps,
@@ -389,7 +436,7 @@ def _power_gap_report(
         guarantee=PREFIX_ONLY,
         values=values,
         failure_point=point,
-        failure_norm=gap,
+        failure_norm=None if point is None else Fraction(num, den),
         notes=() if point is None else (INTERNAL_INCONSISTENCY_NOTE,),
     )
 
@@ -428,7 +475,8 @@ def check_pair_product(
     hyps.append(HypothesisCheck("S2 dominates T2", s2.dominates(t2)))
     hyps.append(HypothesisCheck("S1 S2 = S2 S1", s1.commutes_with(s2)))
     gaps = _grid_gaps((s1, s2), (t1, t2), (1, n0), (1, n_max))
-    return _power_gap_report(command, hyps, ((p[1:], g) for p, g in gaps), ((n0, n_max),))
+    held = ((p[1:], num, den) for p, num, den in gaps)
+    return _power_gap_report(command, hyps, held, ((n0, n_max),))
 
 
 def check_damped_powers(
@@ -453,7 +501,8 @@ def check_damped_powers(
     hyps.append(HypothesisCheck("S dominates T", s.dominates(t)))
     hyps.append(HypothesisCheck("Z S = S Z", z.commutes_with(s)))
     gaps = _grid_gaps((z, s), (z, t), (1, n0), (1, n_max))
-    return _power_gap_report(command, hyps, ((p[1:], g) for p, g in gaps), ((n0, n_max),))
+    held = ((p[1:], num, den) for p, num, den in gaps)
+    return _power_gap_report(command, hyps, held, ((n0, n_max),))
 
 
 def check_family_grid(
@@ -470,10 +519,11 @@ def check_family_grid(
 
     The grid is walked by ``_grid_gaps``, the one power-gap walk, in
     lexicographic order, so a FALSIFIED report names the lexicographically
-    first failing point. It costs about two products per grid point and
-    holds O(number of pairs) operators, never a table of powers. A grid of
-    more than ``GRID_CAP`` points raises ``GridCapExceeded``. A one-pair
-    family with base exponent 1 is Zaharopol's |S^n - T^n| < 1.
+    first failing point. Past the base point it steps two weighted row
+    vectors, about 2 n^2 integer products per grid point, and holds
+    O(number of pairs) rows, never a table of powers. A grid of more than
+    ``GRID_CAP`` points raises ``GridCapExceeded``. A one-pair family with
+    base exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents
     if len(m_max) != family.size:

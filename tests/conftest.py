@@ -7,10 +7,12 @@ sup-preservation is re-decided behaviorally on vertex pairs. The ``ref_*``
 functions are a per-entry ``Fraction`` reference for the integer kernel of
 ``MatrixOperator``; ``ref_dual_row_sum`` reaches the L1 norm through the
 dual side instead of the column sums, and ``ref_certificate_scan`` is the
-linear walk that the galloping certificate search replaces. The weighted 2-norm has two oracles:
-``ref_l2_compare`` decides it from determinants instead of elimination, and
-``sigma_max_uniform_2x2`` approximates it in floating point from a closed
-form on uniform two-point spaces.
+linear walk that the galloping certificate search replaces.
+``matrix_grid_gaps`` measures power gaps on ``MatrixOperator`` products,
+the matrix walk that the row walk of ``_grid_gaps`` replaces. The weighted
+2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
+instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
+floating point from a closed form on uniform two-point spaces.
 
 Hypothesis runs under the ``tier1`` profile: examples are derived from each
 test's source rather than a random seed, so every run checks the same
@@ -20,6 +22,7 @@ Pass ``--hypothesis-profile default`` to pytest for randomized runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -189,6 +192,33 @@ def ref_grid_gaps(
             s_prod = ref_compose(s_prod, ref_power(s, e))
             t_prod = ref_compose(t_prod, ref_power(t, e))
         gaps.append((exponents, ref_norm(weights, ref_sub(s_prod, t_prod))))
+    return gaps
+
+
+def matrix_grid_gaps(
+    s_factors: list[MatrixOperator],
+    t_factors: list[MatrixOperator],
+    n0s: tuple[int, ...],
+    m_max: tuple[int, ...],
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Gap norm at every grid point in ``itertools.product`` order, each
+    product composed from a table of ``MatrixOperator`` powers and measured
+    with ``distance``: the matrix walk the row walk replaces, with no
+    positivity assumed, at a cost that allows workload-scale grids."""
+
+    def powers(op: MatrixOperator, top: int) -> list[MatrixOperator]:
+        table = [MatrixOperator.identity(op.space)]
+        for _ in range(top):
+            table.append(table[-1] @ op)
+        return table
+
+    s_powers = [powers(s, m) for s, m in zip(s_factors, m_max)]
+    t_powers = [powers(t, m) for t, m in zip(t_factors, m_max)]
+    gaps = []
+    for exponents in itertools.product(*(range(n0, m + 1) for n0, m in zip(n0s, m_max))):
+        s_prod = functools.reduce(operator.matmul, (p[e] for p, e in zip(s_powers, exponents)))
+        t_prod = functools.reduce(operator.matmul, (p[e] for p, e in zip(t_powers, exponents)))
+        gaps.append((exponents, s_prod.distance(t_prod)))
     return gaps
 
 

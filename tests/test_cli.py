@@ -433,6 +433,26 @@ class TestExampleCommand:
         assert err.startswith(f"error: {flag}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["example", "2", "--u", "1/3", "--lambda", "9/10"], "--u"),
+        (["example", "2", "--lambda", "9/10"], "--lambda"),
+        (["example", "lp", "--v", "1/5"], "--v"),
+    ])
+    def test_shear_flags_outside_example_1_are_input_errors(self, argv, flag, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: example {argv[1]} does not read this flag\n"
+        assert captured.out == ""
+
+    def test_example_1_defaults_apply_per_flag(self, capsys):
+        assert main(["example", "1", "--v", "1/2"]) == 0
+        defaults = capsys.readouterr().out
+        assert main(["example", "1", "--u", "1/2", "--v", "1/2", "--lambda", "1/4"]) == 0
+        assert capsys.readouterr().out == defaults
+        assert main(["example", "1", "--lambda", "1/2"]) == 0
+        params = parse_bundle(capsys.readouterr().out).params
+        assert (params["u"], params["v"], params["lambda"]) == ("1/2", "1/2", "1/2")
+
 
 class TestSweepCommand:
     def test_small_sweeps_pass(self, capsys):

@@ -30,9 +30,11 @@ from dominion import (
 )
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.core import InternalConsistencyError
-from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report
+from dominion.gallery import random_commuting_family, random_dominated_pair
+from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report, _row_gap
 
 from conftest import (
+    matrix_grid_gaps,
     ref_certificate_scan,
     ref_compose,
     ref_grid_gaps,
@@ -55,7 +57,7 @@ def flip(two_point):
 class TestDominatedPair:
     def test_valid_pair_builds(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
-        assert pair.gap_norm() == 1
+        assert pair.s.distance(pair.t) == 1
 
     def test_rejects_missing_domination(self):
         trio = shear_trio("1/2", "1/2", "3/4")
@@ -176,47 +178,80 @@ class TestFamilyGrid:
             check_family_grid(family, (1,))
 
 
-kernel_entries = st.one_of(
-    st.just(Fraction(0)),
-    st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=6),
+def _entries(low):
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=Fraction(low), max_value=Fraction(2), max_denominator=6),
+    )
+
+
+signed_entries = _entries(-2)
+positive_entries = _entries(0)  # up to 2, so that some gaps reach 1 or more
+shares = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1))),
+    st.fractions(min_value=0, max_value=1, max_denominator=6),
 )
+
+
+def _space_weights(draw, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=3))
+    return tuple(draw(st.lists(
+        st.fractions(min_value=Fraction(1, 3), max_value=Fraction(4), max_denominator=4),
+        min_size=n, max_size=n, unique=True,
+    )))
+
+
+def _rows(draw, n, entries):
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
 
 
 @st.composite
 def grid_case(draw, min_axes=1, min_n=1):
-    """``min_axes`` to three axes of arbitrary (S_i, T_i) on a ``min_n`` to 3
-    point space, with base exponents up to 3 and up to three exponents per
-    axis."""
-    n = draw(st.integers(min_value=min_n, max_value=3))
-    weights = tuple(draw(st.lists(
-        st.fractions(min_value=Fraction(1, 3), max_value=Fraction(4), max_denominator=4),
-        min_size=n, max_size=n, unique=True,
-    )))
+    """``min_axes`` to three axes of (S_i, T_i) with ``0 <= T_i <= S_i`` on a
+    ``min_n`` to 3 point space, with base exponents up to 3 and up to three
+    exponents per axis. Nothing makes the factors commute."""
+    weights = _space_weights(draw, min_n)
     axes = draw(st.integers(min_value=min_axes, max_value=3))
-
-    def rows():
-        return tuple(tuple(draw(kernel_entries) for _ in range(n)) for _ in range(n))
-
-    s_rows = [rows() for _ in range(axes)]
-    t_rows = [rows() for _ in range(axes)]
+    s_rows = [_rows(draw, len(weights), positive_entries) for _ in range(axes)]
+    t_rows = [
+        tuple(tuple(x * draw(shares) for x in row) for row in s) for s in s_rows
+    ]
     n0s = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(axes))
     m_max = tuple(n0 + draw(st.integers(min_value=0, max_value=2)) for n0 in n0s)
     return weights, s_rows, t_rows, n0s, m_max
 
 
+@st.composite
+def undominated_case(draw):
+    """``(weights, A, X, B, Y)`` on a 1 to 3 point space where ``0 <= Y <= X``
+    fails: some entry of X or Y is negative, or X and Y are positive and
+    some entry of Y exceeds X's. A and B are positive or signed."""
+    weights = _space_weights(draw)
+    n = len(weights)
+    entries = draw(st.sampled_from((signed_entries, positive_entries)))
+    a, x, b, y = (_rows(draw, n, entries) for _ in range(4))
+    pairs = [(p, q) for rx, ry in zip(x, y) for p, q in zip(rx, ry)]
+    assume(any(min(p, q) < 0 or q > p for p, q in pairs))
+    return weights, a, x, b, y
+
+
 class TestPowerGapKernel:
-    """The power-gap kernel and the grid odometer against products built
-    from scratch in the Fraction reference."""
+    """The row walk against products built from scratch in the Fraction
+    reference, on factors with ``0 <= T_i <= S_i`` that need not commute."""
 
     @staticmethod
-    def assert_grid_matches(case):
+    def walk(space, s_rows, t_rows, n0s, m_max):
+        """``_grid_gaps`` on operators built from Fraction rows, with each
+        ``(point, num, den)`` read as ``(point, num / den)``."""
+        s_ops = [MatrixOperator(space, r) for r in s_rows]
+        t_ops = [MatrixOperator(space, r) for r in t_rows]
+        return [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_ops, t_ops, n0s, m_max)]
+
+    def assert_grid_matches(self, case):
         """The whole sequence of (exponents, gap): its order pins the first
         failure, its values pin the factor order of every product."""
         weights, s_rows, t_rows, n0s, m_max = case
-        space = MeasureSpace(weights)
-        s_ops = [MatrixOperator(space, r) for r in s_rows]
-        t_ops = [MatrixOperator(space, r) for r in t_rows]
-        got = list(_grid_gaps(s_ops, t_ops, n0s, m_max))
+        got = self.walk(MeasureSpace(weights), s_rows, t_rows, n0s, m_max)
         assert got == ref_grid_gaps(weights, s_rows, t_rows, n0s, m_max)
 
     @settings(max_examples=40)
@@ -233,12 +268,9 @@ class TestPowerGapKernel:
     @given(grid_case(min_axes=2), st.integers(min_value=0, max_value=4))
     def test_first_axis_held_at_one_matches_reference(self, case, steps):
         """The shape the pair-product and damped-powers checkers walk:
-        |A X^n - B Y^n| for arbitrary, non-commuting A, B, X and Y."""
+        |A X^n - B Y^n| for 0 <= B <= A and 0 <= Y <= X, not commuting."""
         weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
-        space = MeasureSpace(weights)
-        s_ops = [MatrixOperator(space, a), MatrixOperator(space, x)]
-        t_ops = [MatrixOperator(space, b), MatrixOperator(space, y)]
-        got = list(_grid_gaps(s_ops, t_ops, (1, n0), (1, n0 + steps)))
+        got = self.walk(MeasureSpace(weights), [a, x], [b, y], (1, n0), (1, n0 + steps))
         assert got == [
             ((1, n), ref_norm(weights, ref_sub(
                 ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n))
@@ -252,18 +284,77 @@ class TestPowerGapKernel:
         t2 = MatrixOperator(space, ((1, 0), (1, 0)))
         zero = MatrixOperator.zero(space)
         assert t1 @ t2 != t2 @ t1
-        gaps = dict(_grid_gaps([zero, zero], [t1, t2], (1, 1), (1, 1)))
-        assert gaps == {(1, 1): (t1 @ t2).norm()} == {(1, 1): Fraction(2)}
-        assert (t2 @ t1).norm() == 4
+        assert t1 @ t1 == t1 and t2 @ t2 == t2  # every grid point is t1 t2
+        gaps = dict(self.walk(space, [t1.entries, t2.entries], [zero.entries] * 2, (1, 1), (2, 2)))
+        assert gaps == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2}
+        assert (t1 @ t2).norm() == 2 and (t2 @ t1).norm() == 4
+
+    @pytest.mark.parametrize("t_rows", [((1, -1), (0, 0)), ((2, 0), (0, 0))], ids=["signed", "above-s"])
+    def test_walk_rejects_factors_outside_zero_to_s(self, t_rows):
+        space = MeasureSpace((1, 2))
+        s = MatrixOperator.identity(space)
+        gaps = _grid_gaps([s, s], [s, MatrixOperator(space, t_rows)], (1, 1), (1, 3))
+        next(gaps)  # the base gap is measured whatever the factors
+        with pytest.raises(ValueError, match="factor pair 2 breaks 0 <= T <= S"):
+            next(gaps)
+
+    def test_a_negative_row_difference_is_an_internal_inconsistency(self):
+        assert _row_gap((1, 2), [3, 4], [1, 2], 5) == (2, 5)
+        with pytest.raises(InternalConsistencyError):
+            _row_gap((1, 2), [3, 1], [1, 2], 5)
+
+    @settings(max_examples=30)
+    @given(undominated_case(), st.integers(min_value=1, max_value=3))
+    def test_unmet_reports_carry_the_exact_base_gap(self, case, n0):
+        """Signed or undominated factors: the checkers report the base gap,
+        with absolute values, and walk no further."""
+        weights, a, x, b, y = case
+        space = MeasureSpace(weights)
+        ops = [MatrixOperator(space, r) for r in (a, x, b, y)]
+        pair = check_pair_product(ops[2], ops[3], ops[0], ops[1], n0, n0 + 2)
+        assert pair.verdict is Verdict.HYPOTHESIS_UNMET
+        assert pair.values == (("base gap norm", ref_norm(weights, ref_sub(
+            ref_compose(a, ref_power(x, n0)), ref_compose(b, ref_power(y, n0))
+        ))),)
+        damped = check_damped_powers(ops[0], ops[1], ops[3], n0, n0 + 2)
+        assert damped.verdict is Verdict.HYPOTHESIS_UNMET
+        assert damped.values == (("base gap norm", ref_norm(weights, ref_sub(
+            ref_compose(a, ref_power(x, n0)), ref_compose(a, ref_power(y, n0))
+        ))),)
 
     def test_report_names_the_first_gap_of_norm_one_or_more(self):
-        gaps = [((1, 1), Fraction(1, 2)), ((1, 2), Fraction(1)), ((2, 1), Fraction(3))]
+        gaps = [((1, 1), 1, 2), ((1, 2), 3, 3), ((2, 1), 3, 1)]
         report = _power_gap_report("c", [], iter(gaps), ((1, 2), (1, 2)))
         assert report.verdict is Verdict.FALSIFIED
         assert (report.failure_point, report.failure_norm) == ((1, 2), 1)
         assert report.values == (("base gap norm", Fraction(1, 2)),)
         unmet = _power_gap_report("c", [], iter(gaps[1:]), ((1, 2), (1, 2)))
         assert unmet.verdict is Verdict.HYPOTHESIS_UNMET and unmet.failure_point is None
+
+
+class TestRowWalkAtWorkloadScale:
+    """The row walk against products of ``MatrixOperator`` powers measured
+    with ``distance``, on the benchmark's shapes: criterion 03's dense
+    4-point pairs over 50 powers and criterion 04's (30, 5, 5) grids, whose
+    gaps carry thousand-bit denominators."""
+
+    @staticmethod
+    def assert_walks_agree(s_factors, t_factors, n0s, m_max):
+        got = [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_factors, t_factors, n0s, m_max)]
+        assert got == matrix_grid_gaps(s_factors, t_factors, n0s, m_max)
+        assert max(gap.denominator for _, gap in got).bit_length() > 1000
+
+    @pytest.mark.parametrize("seed", [5, 7_000_003, 31_000_017])
+    def test_dominated_powers(self, seed):
+        pair = random_dominated_pair(seed, 4, denom_cap=64)
+        self.assert_walks_agree([pair.s], [pair.t], (1,), (50,))
+
+    @pytest.mark.parametrize("seed", [2, 31_000_000])
+    def test_three_pair_grid(self, seed):
+        family = random_commuting_family(seed, 3, 3, degree=2, denom_cap=64)
+        s_factors = [pair.s for pair in family.pairs]
+        t_factors = [pair.t for pair in family.pairs]
+        self.assert_walks_agree(s_factors, t_factors, family.base_exponents, (30, 5, 5))
 
 
 class TestCompositionCounts:
@@ -296,10 +387,11 @@ class TestCompositionCounts:
         # one squaring per bit below the top, one product per set bit but the first
         assert len(compositions) == max(e.bit_length() + e.bit_count() - 2, 0)
 
-    def test_dominated_powers_sweep_makes_98_products_per_checked_pair(self, compositions):
+    def test_dominated_powers_sweep_makes_no_product(self, compositions):
+        """The one-pair walk steps rows, and S**1 is S: no product at all."""
         result = sweep_dominated_powers(5, n=4, n_max=50, seed0=7_000_000, denom_cap=64)
         assert result.checked == 5
-        assert len(compositions) == 490
+        assert compositions == []
 
 
 class TestMeetBound:

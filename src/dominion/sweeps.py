@@ -119,8 +119,6 @@ def sweep_dominated_powers(
     """Random dominated pairs with gap norm strictly below one must keep
     |S^j - T^j| strictly below one for every j up to n_max, exactly: the
     one-pair family grid with base exponent 1."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
 
     def check(pair: DominatedPair) -> tuple[Verdict, str]:
         family = CommutingFamily((pair,), (1,))
@@ -170,8 +168,6 @@ def sweep_family_grid(
 ) -> SweepResult:
     """Random commuting families must verify the grid form of the product
     law over the full exponent grid up to m_max."""
-    if len(m_max) != n_pairs:
-        raise ValueError("m_max needs one bound per pair")
     return _sweep(
         "family-grid",
         count,

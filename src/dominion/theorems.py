@@ -59,7 +59,7 @@ __all__ = [
 
 PREFIX_ONLY = "prefix-only"
 TAIL_BY_MONOTONICITY = "tail-by-monotonicity"
-GRID_CAP = 200_000  # most exponent points one family-grid check walks
+GRID_CAP = 200_000  # most exponent points one power-gap check walks
 
 INTERNAL_INCONSISTENCY_NOTE = (
     "exact conclusion failure under verified hypotheses: this indicates a "
@@ -303,9 +303,10 @@ def _damping_hypotheses(
     sup-preserving contraction commuting with the positive contraction T,
     and the premise norm |Z (T^(m+k) - T^m)| is below two."""
     premise = (z @ (t_high - t_low)).norm()
+    z_norm = z.norm()
     return [
         HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
-        HypothesisCheck("Z contraction", z.is_contraction(), f"norm = {_exact(z.norm())}"),
+        HypothesisCheck("Z contraction", z_norm <= 1, f"norm = {_exact(z_norm)}"),
         HypothesisCheck("Z T = T Z", z.commutes_with(t)),
         *_positive_contraction_checks("T", t),
         HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {_exact(premise)}"),
@@ -323,20 +324,33 @@ def _grid_gaps(
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """The power-gap walk: yield ``(exponents, num, den)`` with ``num / den =
     |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|`` for n_i in
-    [n0s[i], m_max[i]], in lexicographic order.
+    [n0s[i], m_max[i]], in lexicographic order. It is the one check of the
+    exponent box: before yielding it needs one bound per axis, every n0 >= 1
+    and m_max[i] >= n0s[i] (else ``ValueError``), and at most ``GRID_CAP``
+    points (else ``GridCapExceeded``).
 
     The base gap is the ``distance`` of the base products, since the
     caller's hypotheses may fail there. The rest need ``0 <= T_i <= S_i``
     (else ``ValueError``), so every gap is entrywise >= 0 by telescoping,
     ``prod S - prod T = sum_i T_1...T_(i-1) (S_i - T_i) S_(i+1)...S_k``,
     and its L1 norm is ``max_j (w^T prod S - w^T prod T)_j / w_j`` for the
-    integer weights w. So only those two rows are walked, as an odometer of
-    prefix rows in factor order (nothing need commute): n^2 integer
-    products per step and side, over the shared denominator
-    ``prod D_i^(n_i)``, ``D_i = lcm(den S_i, den T_i)``, with no gcd. A
-    negative row difference raises ``InternalConsistencyError``.
+    integer weights w. So only those two rows are walked, by recursion in
+    factor order (nothing need commute): axis i right-multiplies the rows of
+    the axes before it by its base pair, then by its step pair, and the last
+    axis measures them. A step is n^2 integer products per side, over the
+    shared denominator ``prod D_i^(n_i)``, ``D_i = lcm(den S_i, den T_i)``,
+    with no gcd. A negative row difference raises ``InternalConsistencyError``.
     """
-    last = len(n0s) - 1
+    if len(m_max) != len(n0s):
+        raise ValueError("one exponent bound is required per pair")
+    if any(n0 < 1 for n0 in n0s):
+        raise ValueError("n0 must be >= 1")
+    for n0, m in zip(n0s, m_max):
+        if m < n0:
+            raise ValueError(f"n_max must be >= {n0}")
+    size = math.prod(m - n0 + 1 for m, n0 in zip(m_max, n0s))
+    if size > GRID_CAP:
+        raise GridCapExceeded(f"requested grid has {size} points, more than the cap {GRID_CAP}")
     s_base = [s**n0 for s, n0 in zip(s_factors, n0s)]
     t_base = [t**n0 for t, n0 in zip(t_factors, n0s)]
     s_prod, t_prod = (functools.reduce(operator.matmul, base) for base in (s_base, t_base))
@@ -350,30 +364,16 @@ def _grid_gaps(
     dens = (den**n0 for (_, _, den), n0 in zip(steps, n0s))
     bases = [_factor_columns(s, t, den) for s, t, den in zip(s_base, t_base, dens)]
     weights = s_factors[0].space._integer_weights
-    # prefixes[j] is (w^T S_1^(n_1)...S_j^(n_j), w^T T_1^(n_1)...T_j^(n_j), den).
-    prefixes = [(weights, weights, 1)]
-    exponents = list(n0s[:last])
-    base_lead = tuple(exponents)
-    axis = 0
-    while axis >= 0:
-        del prefixes[axis + 1:]
-        for j in range(axis, last):
-            prefixes.append(_step(prefixes[-1], bases[j]))
-        rows = _step(prefixes[-1], bases[last])
-        lead = tuple(exponents)
-        if lead != base_lead:  # the base point was measured above
-            yield (*lead, n0s[last]), *_row_gap(weights, *rows)
-        for n in range(n0s[last] + 1, m_max[last] + 1):
-            rows = _step(rows, steps[last])
-            yield (*lead, n), *_row_gap(weights, *rows)
-        axis = last - 1
-        while axis >= 0 and exponents[axis] == m_max[axis]:
-            exponents[axis] = n0s[axis]
-            axis -= 1
-        if axis >= 0:
-            exponents[axis] += 1
-            prefixes[axis + 1] = _step(prefixes[axis + 1], steps[axis])
-            axis += 1
+
+    def walk(axis: int, rows: tuple, lead: tuple[int, ...]) -> Iterator:
+        for n in range(n0s[axis], m_max[axis] + 1):
+            rows = _step(rows, bases[axis] if n == n0s[axis] else steps[axis])
+            if axis + 1 == len(bases):
+                yield (*lead, n), *_row_gap(weights, *rows)
+            else:
+                yield from walk(axis + 1, rows, (*lead, n))
+
+    yield from itertools.islice(walk(0, (weights, weights, 1), ()), 1, None)  # base measured above
 
 
 def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
@@ -441,13 +441,6 @@ def _power_gap_report(
     )
 
 
-def _check_range(n0: int, n_max: int) -> None:
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    if n_max < n0:
-        raise ValueError("n_max must be >= n0")
-
-
 def check_pair_product(
     t1: MatrixOperator,
     t2: MatrixOperator,
@@ -463,7 +456,6 @@ def check_pair_product(
     operators, S1 >= T1, S2 >= T2, S1 S2 = S2 S1, and the base gap norm.
     The conclusion is then re-verified for every n in [n0, n_max].
     """
-    _check_range(n0, n_max)
     for other in (t2, s1, s2):
         t1._require_same_space(other)
     command = f"pair-product(n0={n0}, n_max={n_max})"
@@ -490,7 +482,6 @@ def check_damped_powers(
     below one, for positive contractions with T <= S and ZS = SZ.
 
     The gap is evaluated as the distance between Z S^n and Z T^n."""
-    _check_range(n0, n_max)
     z._require_same_space(s)
     z._require_same_space(t)
     command = f"damped-powers(n0={n0}, n_max={n_max})"
@@ -521,20 +512,12 @@ def check_family_grid(
     lexicographic order, so a FALSIFIED report names the lexicographically
     first failing point. Past the base point it steps two weighted row
     vectors, about 2 n^2 integer products per grid point, and holds
-    O(number of pairs) rows, never a table of powers. A grid of more than
-    ``GRID_CAP`` points raises ``GridCapExceeded``. A one-pair family with
-    base exponent 1 is Zaharopol's |S^n - T^n| < 1.
+    O(number of pairs) rows, never a table of powers. The walk checks the
+    bounds; more than ``GRID_CAP`` points raises ``GridCapExceeded``, the cap
+    all three power-gap checkers share. A one-pair family with base
+    exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents
-    if len(m_max) != family.size:
-        raise ValueError("one exponent bound is required per pair")
-    if any(m < n0 for m, n0 in zip(m_max, n0s)):
-        raise ValueError("each m_max entry must be >= the pair's base exponent")
-    grid_size = math.prod(m - n0 + 1 for m, n0 in zip(m_max, n0s))
-    if grid_size > GRID_CAP:
-        raise GridCapExceeded(
-            f"requested grid has {grid_size} points, more than the cap {GRID_CAP}"
-        )
     command = f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"
 
     hyps = [

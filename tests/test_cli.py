@@ -220,6 +220,16 @@ class TestCheckCommand:
     def test_pair_product_via_role_aliases(self, gap_bundle_path):
         assert main(["check", "pair-product", gap_bundle_path, "--n0", "1", "--n-max", "10"]) == 0
 
+    def test_pair_product_grid_cap_is_input_error(self, gap_bundle_path, monkeypatch, capsys):
+        monkeypatch.setattr("dominion.theorems.GRID_CAP", 10)
+        argv = ["check", "pair-product", gap_bundle_path, "--n0", "1", "--n-max"]
+        assert main(argv + ["10"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: requested grid has 11 points")
+        assert captured.out == ""
+
     def test_meet_bound(self, gap_bundle_path):
         assert main(["check", "meet-bound", gap_bundle_path, "--m", "0", "--k", "1"]) == 0
 

@@ -1,6 +1,7 @@
 """Checker semantics: hypothesis ledgers, verdicts, the power-gap kernel,
 traces, decomposition witnesses, and the certificate search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -117,9 +118,9 @@ class TestPairProduct:
         assert "S1 dominates T1" in failed
 
     def test_range_validation(self, gap_pair):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n0 must be >= 1"):
             check_pair_product(gap_pair.t, gap_pair.t, gap_pair.s, gap_pair.s, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max must be >= 3"):
             check_pair_product(gap_pair.t, gap_pair.t, gap_pair.s, gap_pair.s, 3, 2)
 
 
@@ -174,8 +175,45 @@ class TestFamilyGrid:
     def test_bound_validation(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
         family = CommutingFamily(pairs=(pair,), base_exponents=(2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
             check_family_grid(family, (1,))
+        with pytest.raises(ValueError, match="one exponent bound is required per pair"):
+            check_family_grid(family, (3, 3))
+
+
+class TestExponentBox:
+    """``_grid_gaps`` alone checks the exponent box, before any gap is
+    reported, and walks it with one row step per prefix point."""
+
+    def test_every_power_gap_checker_shares_the_grid_cap(self, gap_pair, identity2, monkeypatch):
+        monkeypatch.setattr(dominion.theorems, "GRID_CAP", 10)
+        s, t = gap_pair.s, gap_pair.t
+        with pytest.raises(GridCapExceeded, match="requested grid has 11 points"):
+            check_pair_product(t, t, s, s, 1, 11)
+        with pytest.raises(GridCapExceeded, match="requested grid has 11 points"):
+            check_damped_powers(identity2, s, t, 1, 11)  # raises though the base gap is 1
+        assert check_pair_product(t, t, s, s, 1, 10).verdict is Verdict.VERIFIED
+        assert check_damped_powers(identity2, s, t, 1, 10).verdict is Verdict.HYPOTHESIS_UNMET
+
+    @pytest.mark.parametrize("n0s, m_max, steps", [
+        ((1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5),
+        ((2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3),
+    ])
+    def test_walk_makes_one_step_per_prefix_point(self, monkeypatch, n0s, m_max, steps):
+        calls = []
+        step = dominion.theorems._step
+
+        def counted(rows, factor):
+            calls.append(None)
+            return step(rows, factor)
+
+        monkeypatch.setattr(dominion.theorems, "_step", counted)
+        family = random_commuting_family(2, 3, 3, degree=2, denom_cap=64)
+        s_factors = [pair.s for pair in family.pairs]
+        t_factors = [pair.t for pair in family.pairs]
+        points = [p for p, _, _ in _grid_gaps(s_factors, t_factors, n0s, m_max)]
+        assert points == list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
+        assert len(calls) == steps
 
 
 def _entries(low):

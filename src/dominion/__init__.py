@@ -33,7 +33,6 @@ from .gallery import (
     unit_gap_pair,
 )
 from .theorems import (
-    AveragingDefectReport,
     CertificateSearch,
     CommutingFamily,
     DecompositionWitness,
@@ -44,7 +43,6 @@ from .theorems import (
     Verdict,
     VerdictReport,
     ZeroTwoTrace,
-    averaging_defect,
     build_decomposition,
     check_damped_powers,
     check_family_grid,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -446,6 +447,9 @@ def _rational_flag(flag: str):
     return parse
 
 
+# argparse keeps no state between parse_args calls and every default is
+# immutable, so one parser serves every main call of a process.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="dominion",

@@ -30,6 +30,7 @@ from .core import (
     InternalConsistencyError,
     MatrixOperator,
     RationalLike,
+    _column_norm,
     rat,
     unlimited_int_digits,
 )
@@ -44,15 +45,12 @@ __all__ = [
     "CommutingFamily",
     "ZeroTwoTrace",
     "DecompositionWitness",
-    "AveragingDefectRow",
-    "AveragingDefectReport",
     "CertificateSearch",
     "check_pair_product",
     "check_damped_powers",
     "check_family_grid",
     "check_meet_bound",
     "build_decomposition",
-    "averaging_defect",
     "zero_two_trace",
     "find_epsilon_certificate",
 ]
@@ -233,24 +231,6 @@ class DecompositionWitness:
 
     def max_v_norm(self) -> Fraction:
         return max(v.norm() for v in self.v_sequence)
-
-
-@dataclass(frozen=True)
-class AveragingDefectRow:
-    ell: int
-    norm: Fraction
-    scaled: float  # sqrt(ell) * norm
-
-
-@dataclass(frozen=True)
-class AveragingDefectReport:
-    """Exact defects |T^k R^ell - R^ell| for R = (I+T)/2, with the
-    empirical constant gamma_hat = max over ell of sqrt(ell) * defect."""
-
-    k: int
-    rows: tuple[AveragingDefectRow, ...]
-    gamma_hat: float
-    k_fold_bounded: bool  # defect at k never exceeds k times the defect at 1
 
 
 @dataclass(frozen=True)
@@ -630,46 +610,6 @@ def build_decomposition(
     )
 
 
-def averaging_defect(
-    t: MatrixOperator,
-    k: int,
-    ell_max: int,
-) -> AveragingDefectReport:
-    """Exact averaging defects |T^k R^ell - R^ell| for ell = 1..ell_max,
-    where R = (I+T)/2, together with the empirical decay constant
-    gamma_hat = max over ell of sqrt(ell) * defect.
-
-    Also verifies exactly that the defect at step k never exceeds k times
-    the defect at step 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
-    if not t.is_contraction():
-        raise HypothesisViolation("the base operator must be a contraction")
-
-    identity = MatrixOperator.identity(t.space)
-    averaged_step = (identity + t) * Fraction(1, 2)
-    t_k = t**k
-    r_pow = identity
-    rows: list[AveragingDefectRow] = []
-    k_fold_ok = True
-    for ell in range(1, ell_max + 1):
-        r_pow = r_pow @ averaged_step
-        defect_k = (t_k @ r_pow).distance(r_pow)
-        defect_1 = (t @ r_pow).distance(r_pow)
-        if defect_k > k * defect_1:
-            k_fold_ok = False
-        rows.append(
-            AveragingDefectRow(ell=ell, norm=defect_k, scaled=math.sqrt(ell) * float(defect_k))
-        )
-    gamma_hat = max((row.scaled for row in rows), default=0.0)
-    return AveragingDefectReport(
-        k=k, rows=tuple(rows), gamma_hat=gamma_hat, k_fold_bounded=k_fold_ok
-    )
-
-
 # -- zero-two traces and certificates ----------------------------------------
 
 
@@ -685,6 +625,13 @@ def zero_two_trace(
     Requires commuting positive contractions; non-commuting inputs are
     rejected because the monotonicity of the sequence depends on pulling
     the extra factor of T through Z^d.
+
+    Since Z and T commute, the n-th difference is T^n D for the one
+    operator D = Z^d (T^k - I). The walk builds D once and then steps its
+    integer numerator columns by T's integer rows, multiplying the common
+    denominator by T's: n^3 integer products per step and no gcd. Each a_n
+    is the column norm of those numerators, reduced once into the
+    ``Fraction`` it returns.
     """
     if k < 1 or d < 1:
         raise ValueError("require k >= 1 and d >= 1")
@@ -697,11 +644,13 @@ def zero_two_trace(
         if not op.is_positive() or not op.is_contraction():
             raise HypothesisViolation(f"{name} must be a positive contraction")
 
-    current = (z**d) @ (t**k - MatrixOperator.identity(t.space))
-    norms = [current.norm()]
+    start = (z**d) @ (t**k - MatrixOperator.identity(t.space))
+    weights, cols, den = t.space._integer_weights, list(zip(*start.num)), start.den
+    norms = [_column_norm(weights, cols, den)]
     for _ in range(n_max):  # each difference is the previous one times T
-        current = t @ current
-        norms.append(current.norm())
+        cols = [[sum(map(operator.mul, row, col)) for row in t.num] for col in cols]
+        den *= t.den
+        norms.append(_column_norm(weights, cols, den))
     return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=tuple(enumerate(norms)))
 
 

@@ -9,7 +9,9 @@ functions are a per-entry ``Fraction`` reference for the integer kernel of
 dual side instead of the column sums, and ``ref_certificate_scan`` is the
 linear walk that the galloping certificate search replaces.
 ``matrix_grid_gaps`` measures power gaps on ``MatrixOperator`` products,
-the matrix walk that the row walk of ``_grid_gaps`` replaces. The weighted
+the matrix walk that the row walk of ``_grid_gaps`` replaces, and
+``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
+column walk of ``zero_two_trace`` replaces. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
 floating point from a closed form on uniform two-point spaces.
@@ -220,6 +222,20 @@ def matrix_grid_gaps(
         t_prod = functools.reduce(operator.matmul, (p[e] for p, e in zip(t_powers, exponents)))
         gaps.append((exponents, s_prod.distance(t_prod)))
     return gaps
+
+
+def ref_zero_two_trace(
+    z: MatrixOperator, t: MatrixOperator, k: int, d: int, n_max: int
+) -> tuple[tuple[int, Fraction], ...]:
+    """Records ``(n, a_n)`` of a_n = |Z^d (T^(n+k) - T^n)| for n = 0..n_max:
+    one ``MatrixOperator`` product ``t @ current`` per step, each measured
+    by ``ref_norm`` on its ``Fraction`` entries."""
+    current = (z**d) @ (t**k - MatrixOperator.identity(t.space))
+    norms = [ref_norm(t.space.weights, current.entries)]
+    for _ in range(n_max):
+        current = t @ current
+        norms.append(ref_norm(t.space.weights, current.entries))
+    return tuple(enumerate(norms))
 
 
 def ref_certificate_scan(

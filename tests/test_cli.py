@@ -1,11 +1,15 @@
 """Bundle round trips, report rendering, exit codes, and CSV traces."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dominion
 from dominion import (
     MatrixOperator,
     Verdict,
@@ -26,7 +30,7 @@ from dominion.bundles import (
     rational_str,
     save_bundle,
 )
-from dominion.cli import main
+from dominion.cli import build_parser, main
 from dominion.theorems import check_damped_powers, find_epsilon_certificate
 
 
@@ -400,6 +404,44 @@ class TestTraceCommand:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 152
         assert max(len(row.split(",")[1]) for row in rows[1:]) > 2 * 640
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaves a
+    flag, default or output path behind for the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @staticmethod
+    def run_alone(argv: list[str]) -> tuple[int, bytes, bytes]:
+        """Exit code, stdout and stderr of ``argv`` in a fresh interpreter."""
+        src = Path(dominion.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "dominion.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=False,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("first, first_code", [
+        (["--bogus"], 3),
+        (["--k", "2"], 0),
+        (["--out", "{out}"], 0),
+    ])
+    def test_a_later_trace_matches_a_fresh_process(
+        self, averaging_bundle_path, tmp_path, capsys, first, first_code
+    ):
+        out = tmp_path / "first.csv"
+        argv = ["trace", averaging_bundle_path]
+        assert main(argv + [arg.format(out=out) for arg in first]) == first_code
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out.encode(), captured.err.encode()) == self.run_alone(argv)
+        assert captured.out.splitlines()[2] == "1,1/6,0.166666666667"  # k = 1, on stdout
+        assert out.exists() == (first[0] == "--out")
 
 
 class TestExampleCommand:

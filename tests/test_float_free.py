@@ -37,7 +37,7 @@ def float_uses(tree: ast.AST) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["core.py", "calculus.py", "bundles.py"])
+@pytest.mark.parametrize("module", ["core.py", "calculus.py", "bundles.py", "theorems.py", "cli.py"])
 def test_exact_module_uses_no_floats(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert float_uses(tree) == []

@@ -16,7 +16,6 @@ from dominion import (
     MatrixOperator,
     MeasureSpace,
     Verdict,
-    averaging_defect,
     build_decomposition,
     check_damped_powers,
     check_family_grid,
@@ -42,6 +41,7 @@ from conftest import (
     ref_norm,
     ref_power,
     ref_sub,
+    ref_zero_two_trace,
 )
 
 
@@ -431,6 +431,15 @@ class TestCompositionCounts:
         assert result.checked == 5
         assert compositions == []
 
+    def test_zero_two_trace_makes_no_product_per_step(self, compositions):
+        t = random_positive_contraction(9500, 3, denom_cap=64)
+        counts = []
+        for n_max in (10, 200):
+            compositions.clear()
+            zero_two_trace(t, t, 2, 2, n_max)
+            counts.append(len(compositions))
+        assert counts[0] == counts[1]
+
 
 class TestMeetBound:
     def test_averaging_map(self, gap_pair, identity2):
@@ -493,42 +502,6 @@ class TestDecomposition:
             build_decomposition(MatrixOperator.identity(two_point) * 2, 0, 1, 1, 1)
 
 
-class TestAveragingDefect:
-    def test_identity_has_no_defect(self, identity2):
-        report = averaging_defect(identity2, 1, 4)
-        assert all(row.norm == 0 for row in report.rows)
-        assert report.gamma_hat == 0.0
-
-    def test_nilpotent_first_defect(self, gap_pair):
-        # (I+T)/2 - T(I+T)/2 = (I - T^2)/2 = I/2 for the nilpotent T
-        report = averaging_defect(gap_pair.t, 1, 1)
-        assert report.rows[0].norm == Fraction(1, 2)
-        assert report.k_fold_bounded
-
-    def test_defect_decays_on_random_contractions(self):
-        for trial in range(50):
-            t = random_positive_contraction(seed=8200 + trial, n=3)
-            report = averaging_defect(t, 1, 4)
-            assert report.rows[3].norm <= report.rows[0].norm
-            assert report.k_fold_bounded
-
-    def test_k_fold_report(self, gap_pair):
-        report = averaging_defect(gap_pair.s, 3, 5)
-        assert report.k_fold_bounded
-
-    @pytest.mark.parametrize("seed", [3, 17, 41])
-    def test_defects_match_difference_operator_norms(self, seed):
-        t = random_positive_contraction(seed, 3, denom_cap=16)
-        averaged = (MatrixOperator.identity(t.space) + t) * Fraction(1, 2)
-        report = averaging_defect(t, 3, 5)
-        k_fold = True
-        for row in report.rows:
-            r_pow = averaged**row.ell
-            assert row.norm == (t**3 @ r_pow - r_pow).norm()
-            k_fold &= row.norm <= 3 * (t @ r_pow - r_pow).norm()
-        assert report.k_fold_bounded == k_fold
-
-
 class TestZeroTwoTrace:
     def test_geometric_decay_of_averaging_map(self, gap_pair, identity2):
         trace = zero_two_trace(identity2, gap_pair.s, 1, 1, 20)
@@ -580,6 +553,40 @@ class TestZeroTwoTrace:
     def test_rejects_expansive_input(self, two_point, identity2):
         with pytest.raises(HypothesisViolation):
             zero_two_trace(identity2, identity2 * 2, 1, 1, 5)
+
+
+@st.composite
+def trace_cases(draw):
+    """(Z, T, k, d, n_max): Z = I or Z = T against a random positive
+    contraction on 1-5 points, or a ``meet_bound_instance``, whose Z is a
+    scalar, a diagonal or a permutation."""
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("identity", "self", "meet")))
+    if kind == "meet":
+        z, t, _, _ = meet_bound_instance(seed, 3, denom_cap=64)
+    else:
+        density = draw(st.sampled_from((0.5, 1.0)))
+        t = random_positive_contraction(seed, draw(st.integers(1, 5)), density=density, denom_cap=64)
+        z = MatrixOperator.identity(t.space) if kind == "identity" else t
+    return z, t, draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 40))
+
+
+class TestZeroTwoTraceWalk:
+    """The integer column walk against ``ref_zero_two_trace``, the operator
+    walk it replaces."""
+
+    @given(trace_cases())
+    def test_matches_the_operator_walk(self, case):
+        z, t, k, d, n_max = case
+        assert zero_two_trace(z, t, k, d, n_max).records == ref_zero_two_trace(z, t, k, d, n_max)
+
+    def test_workload_scale(self):
+        """The benchmark's trace shape: 4 dense points, 250 steps."""
+        t = random_positive_contraction(31_000_017, 4, density=1.0, denom_cap=64)
+        z = MatrixOperator.identity(t.space)
+        trace = zero_two_trace(z, t, 1, 1, 250)
+        assert trace.records == ref_zero_two_trace(z, t, 1, 1, 250)
+        assert trace.norms[-1].denominator.bit_length() > 1000
 
 
 class TestCertificateSearch:

@@ -56,11 +56,21 @@ def rational_str(q: Fraction) -> str:
 
 
 def decimal_str(q: Fraction) -> str:
-    """Display-only decimal at 12 significant digits."""
+    """Display-only 12-significant-digit decimal of ``q = num/den``, in linear time.
+
+    ``s`` (30102 < 10**5 log10 2 < 30103) makes the floor quotient ``quo`` of
+    ``divmod(num * 10**s, den)`` 13+ digits long, so 12-digit values and their
+    half-points are integers at that scale. The proxy ``10*quo + (rem != 0)``
+    over ``10**(s+1)`` is ``q`` if ``rem == 0``; else it and ``q`` lie strictly
+    between ``quo`` and ``quo + 1`` (over ``10**s``) and round alike. Integer
+    operands keep the ideal exponent 0: the string of ``Decimal(num) / Decimal(den)``.
+    """
+    e = q.denominator.bit_length() + 1 - q.numerator.bit_length()  # den / |num| < 2**e
+    s = max(0, 12 - (-e * (30103 if e > 0 else 30102)) // 100000)  # 10**s >= 10**12 * 2**e
+    quo, rem = divmod(q.numerator * 10**s, q.denominator)
     with localcontext() as ctx:
         ctx.prec = 12
-        value = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(value)
+        return str(Decimal(10 * quo + (rem != 0)) / Decimal(10 ** (s + 1)))
 
 
 @dataclass(frozen=True)

@@ -258,10 +258,8 @@ def _cmd_trace(args) -> int:
         _setting(args, bundle, "d", 1),
         _n_max_int(args, 20),
     )
-    lines = ["n,norm_exact,norm_decimal"]
-    for n, norm in trace.records:
-        lines.append(f"{n},{rational_str(norm)},{decimal_str(norm)}")
-    payload = "\n".join(lines) + "\n"
+    rows = (f"{n},{rational_str(a)},{decimal_str(a)}\n" for n, a in trace.records)
+    payload = "n,norm_exact,norm_decimal\n" + "".join(rows)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -186,11 +186,13 @@ class ZeroTwoTrace:
 
     def __post_init__(self) -> None:
         indices = [n for n, _ in self.records]
-        if indices != sorted(indices):
+        if any(m >= n for m, n in zip(indices, indices[1:])):
             raise InternalConsistencyError("trace records are not ordered by n")
         norms = [a for _, a in self.records]
         for prev, nxt in zip(norms, norms[1:]):
-            if nxt > prev:
+            # reduced denominators nearly always nest: a linear-cost compare
+            q, r = divmod(nxt.denominator, prev.denominator)
+            if nxt.numerator > prev.numerator * q if r == 0 else nxt > prev:
                 raise InternalConsistencyError(
                     "trace norms increased, which contradicts contractivity"
                 )

@@ -11,7 +11,9 @@ linear walk that the galloping certificate search replaces.
 ``matrix_grid_gaps`` measures power gaps on ``MatrixOperator`` products,
 the matrix walk that the row walk of ``_grid_gaps`` replaces, and
 ``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
-column walk of ``zero_two_trace`` replaces. The weighted
+column walk of ``zero_two_trace`` replaces. ``ref_decimal_str`` divides
+the two full ``Decimal`` conversions that ``decimal_str``'s one integer
+quotient replaces. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
 floating point from a closed form on uniform two-point spaces.
@@ -28,6 +30,7 @@ import functools
 import itertools
 import math
 import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
 
@@ -236,6 +239,15 @@ def ref_zero_two_trace(
         current = t @ current
         norms.append(ref_norm(t.space.weights, current.entries))
     return tuple(enumerate(norms))
+
+
+def ref_decimal_str(q: Fraction) -> str:
+    """The 12-significant-digit display decimal, as ``Decimal`` division of
+    the full numerator by the full denominator."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        value = Decimal(q.numerator) / Decimal(q.denominator)
+    return str(value)
 
 
 def ref_certificate_scan(

@@ -1,5 +1,6 @@
 """Bundle round trips, report rendering, exit codes, and CSV traces."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dominion
 from dominion import (
@@ -33,6 +35,8 @@ from dominion.bundles import (
 from dominion.cli import build_parser, main
 from dominion.theorems import check_damped_powers, find_epsilon_certificate
 
+from conftest import ref_decimal_str
+
 
 @pytest.fixture
 def gap_bundle_path(tmp_path):
@@ -57,6 +61,29 @@ def averaging_bundle_path(tmp_path):
     return str(path)
 
 
+@st.composite
+def display_fractions(draw):
+    """Fractions for ``decimal_str``, either sign: operands up to 6,000 bits;
+    terminating decimals over ``2^a 5^b``; ties at the 13th significant
+    digit, exact or nudged off by a relative 10^-14 or less; and values of
+    10^12 and up or below 10^-7, which print in exponent form."""
+    kind = draw(st.sampled_from(("wide", "terminating", "tie", "exponent")))
+    if kind == "wide":
+        num = draw(st.integers(0, 2 ** draw(st.integers(0, 6000))))
+        q = Fraction(num, draw(st.integers(1, 2 ** draw(st.integers(0, 6000)))))
+    elif kind == "terminating":
+        den = 2 ** draw(st.integers(0, 400)) * 5 ** draw(st.integers(0, 400))
+        q = Fraction(draw(st.integers(0, 10**60)), den)
+    elif kind == "tie":
+        tie = Fraction(draw(st.integers(10**11, 10**12 - 1)) * 10 + 5)
+        tie *= Fraction(10) ** draw(st.integers(-40, 40))
+        q = tie * (1 + Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** draw(st.integers(14, 80))))
+    else:
+        scale = draw(st.one_of(st.integers(12, 80), st.integers(-80, -8)))
+        q = Fraction(draw(st.integers(1, 10**30)), draw(st.integers(1, 10**30))) * Fraction(10) ** scale
+    return q * draw(st.sampled_from((1, -1)))
+
+
 class TestRationalRendering:
     def test_canonical_rational_strings(self):
         assert rational_str(Fraction(0)) == "0/1"
@@ -65,8 +92,16 @@ class TestRationalRendering:
 
     def test_decimal_rendering(self):
         assert decimal_str(Fraction(1, 6)) == "0.166666666667"
+        assert decimal_str(Fraction(-1, 6)) == "-0.166666666667"
         assert decimal_str(Fraction(0)) == "0"
         assert decimal_str(Fraction(5, 4)) == "1.25"
+        assert decimal_str(Fraction(10**12)) == "1.00000000000E+12"
+        assert decimal_str(Fraction(1, 2**5000)) == "7.07981126105E-1506"
+
+    @settings(max_examples=400)
+    @given(display_fractions())
+    def test_decimal_matches_full_decimal_division(self, q):
+        assert decimal_str(q) == ref_decimal_str(q)
 
 
 class TestBundleRoundTrip:
@@ -404,6 +439,18 @@ class TestTraceCommand:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 152
         assert max(len(row.split(",")[1]) for row in rows[1:]) > 2 * 640
+
+    def test_workload_scale_digest(self, tmp_path, capsys):
+        """The benchmark's trace shape, 4 dense points and 250 steps, pinned
+        by the SHA-256 of its CSV; rows reach 2,190 characters."""
+        t = random_positive_contraction(31_000_017, 4, density=1.0, denom_cap=64)
+        path = tmp_path / "t.bundle"
+        save_bundle(bundle_for_damped(MatrixOperator.identity(t.space), t), str(path))
+        assert main(["trace", str(path), "--k", "1", "--d", "1", "--n-max", "250"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "0b2e7ff30db51205cca3a61a9444e2839d959da77677bc14c9e564306adfebe6"
+        )
 
 
 class TestParserReuse:

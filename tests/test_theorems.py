@@ -31,7 +31,7 @@ from dominion import (
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.core import InternalConsistencyError
 from dominion.gallery import random_commuting_family, random_dominated_pair
-from dominion.theorems import HypothesisCheck, _grid_gaps, _power_gap_report, _row_gap
+from dominion.theorems import HypothesisCheck, ZeroTwoTrace, _grid_gaps, _power_gap_report, _row_gap
 
 from conftest import (
     matrix_grid_gaps,
@@ -553,6 +553,62 @@ class TestZeroTwoTrace:
     def test_rejects_expansive_input(self, two_point, identity2):
         with pytest.raises(HypothesisViolation):
             zero_two_trace(identity2, identity2 * 2, 1, 1, 5)
+
+
+class TestZeroTwoTraceConstruction:
+    """Every ``ZeroTwoTrace`` checks its own records: strictly increasing n,
+    and norms that never increase, compared through one quotient when the
+    reduced denominators nest and by cross-multiplication when they do not."""
+
+    @staticmethod
+    def build(identity, *records):
+        return ZeroTwoTrace(z=identity, t=identity, k=1, d=1, records=tuple(
+            (n, Fraction(a)) for n, a in records
+        ))
+
+    @pytest.mark.parametrize("prev, nxt", [
+        ("1/2", "3/4"),  # 2 divides 4
+        ("1/3", "1/2"),  # 3 does not divide 2
+        ("1/3", "2/3"),  # equal denominators
+        ("1", "5/4"),
+    ], ids=["nested", "not-nested", "same-denominator", "integer-below"])
+    def test_increasing_norms_are_rejected(self, identity2, prev, nxt):
+        with pytest.raises(InternalConsistencyError, match="trace norms increased"):
+            self.build(identity2, (0, "2"), (1, prev), (2, nxt), (3, "0"))
+
+    @pytest.mark.parametrize("norms", [
+        ("1/3", "1/3"),
+        ("2", "2", "2"),
+        ("0", "0"),
+        ("1/2", "1/3", "1/6", "1/6", "0"),
+    ], ids=["equal-fractions", "equal-integers", "zeros", "mixed"])
+    def test_equal_and_falling_norms_are_accepted(self, identity2, norms):
+        trace = self.build(identity2, *enumerate(norms))
+        assert trace.norms == tuple(Fraction(a) for a in norms)
+
+    @pytest.mark.parametrize("indices", [(0, 0), (0, 2, 1), (3, 3, 4)],
+                             ids=["repeated", "descending", "repeated-first"])
+    def test_n_must_strictly_increase(self, identity2, indices):
+        with pytest.raises(InternalConsistencyError, match="not ordered by n"):
+            self.build(identity2, *((n, "1") for n in indices))
+
+    def test_gaps_in_n_are_accepted(self, identity2):
+        assert self.build(identity2, (0, "1"), (5, "1/2")).first_below("3/4") == 5
+
+    @given(
+        st.integers(0, 2**200), st.integers(1, 2**100),
+        st.integers(0, 2**200), st.integers(1, 2**100), st.booleans(),
+    )
+    def test_rejects_exactly_the_increases(self, a, b, c, m, nested):
+        prev = Fraction(a, b)
+        nxt = Fraction(c, prev.denominator * m if nested else m)
+        records = ((0, prev), (1, nxt))
+        identity = MatrixOperator.identity(MeasureSpace((1, 1)))
+        if nxt > prev:
+            with pytest.raises(InternalConsistencyError):
+                self.build(identity, *records)
+        else:
+            assert self.build(identity, *records).norms == (prev, nxt)
 
 
 @st.composite

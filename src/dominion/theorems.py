@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .calculus import is_lattice_homomorphism, operator_meet
 from .core import (
@@ -304,25 +304,37 @@ def _grid_gaps(
     n0s: Sequence[int],
     m_max: Sequence[int],
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The power-gap walk: yield ``(exponents, num, den)`` with ``num / den =
-    |S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|`` for n_i in
-    [n0s[i], m_max[i]], in lexicographic order. It is the one check of the
-    exponent box: before yielding it needs one bound per axis, every n0 >= 1
-    and m_max[i] >= n0s[i] (else ``ValueError``), and at most ``GRID_CAP``
+    """The power-gap walk over the box n_i in [n0s[i], m_max[i]]. It yields
+    ``(exponents, num, den)`` with ``num / den`` the exact gap
+    ``|S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|``: first at the base
+    point, then, in lexicographic order, at each point that the S row alone
+    does not settle below one (below), which includes every gap >= 1.
+
+    It is the one check of the exponent box: before yielding it needs one S
+    factor, T factor, base exponent and bound per axis, every n0 >= 1 and
+    m_max[i] >= n0s[i] (else ``ValueError``), and at most ``GRID_CAP``
     points (else ``GridCapExceeded``).
 
     The base gap is the ``distance`` of the base products, since the
     caller's hypotheses may fail there. The rest need ``0 <= T_i <= S_i``
     (else ``ValueError``), so every gap is entrywise >= 0 by telescoping,
     ``prod S - prod T = sum_i T_1...T_(i-1) (S_i - T_i) S_(i+1)...S_k``,
-    and its L1 norm is ``max_j (w^T prod S - w^T prod T)_j / w_j`` for the
-    integer weights w. So only those two rows are walked, by recursion in
-    factor order (nothing need commute): axis i right-multiplies the rows of
-    the axes before it by its base pair, then by its step pair, and the last
-    axis measures them. A step is n^2 integer products per side, over the
-    shared denominator ``prod D_i^(n_i)``, ``D_i = lcm(den S_i, den T_i)``,
-    with no gcd. A negative row difference raises ``InternalConsistencyError``.
+    and its L1 norm is ``max_j (s - t)_j / (w_j den)`` for the integer
+    weights w and the rows ``s = w^T prod S``, ``t = w^T prod T`` over the
+    shared denominator ``den = prod D_i^(n_i)``, ``D_i = lcm(den S_i, den
+    T_i)``. The rows are walked by recursion in factor order (nothing need
+    commute): axis i right-multiplies the rows of the axes before it by its
+    base factor, then by its step factor, n^2 integer products per step and
+    no gcd. The S row is stepped at every point. As ``t >= 0``, a point where
+    every column leaks mass, ``s_j < w_j den`` for all j, has gap at most
+    ``max_j s_j / (w_j den) < 1`` and needs no T row. Elsewhere a cursor per
+    axis catches the T row up from the last one built on that axis, or from
+    its prefix's, so there are at most as many T steps as S steps; the gap is
+    measured there, and a negative row difference raises
+    ``InternalConsistencyError``.
     """
+    if not len(s_factors) == len(t_factors) == len(n0s):
+        raise ValueError("one S factor, one T factor and one base exponent are required per axis")
     if len(m_max) != len(n0s):
         raise ValueError("one exponent bound is required per pair")
     if any(n0 < 1 for n0 in n0s):
@@ -346,16 +358,33 @@ def _grid_gaps(
     dens = (den**n0 for (_, _, den), n0 in zip(steps, n0s))
     bases = [_factor_columns(s, t, den) for s, t, den in zip(s_base, t_base, dens)]
     weights = s_factors[0].space._integer_weights
+    lcm = math.lcm(*weights)
+    scales = [lcm // w for w in weights]  # s_j < w_j den iff s_j (lcm / w_j) < lcm den
 
-    def walk(axis: int, rows: tuple, lead: tuple[int, ...]) -> Iterator:
+    def walk(axis: int, s_row: Sequence[int], den: int, t_prefix: Callable, lead: tuple) -> Iterator:
+        """Points of the axes from ``axis`` on, under the prefix whose S row
+        is ``s_row`` and whose T row ``t_prefix()`` builds on demand."""
+        t_row, t_n = None, n0s[axis]
+
+        def t_at(n: int) -> list[int]:
+            nonlocal t_row, t_n
+            if t_row is None:
+                t_row = _step(t_prefix(), bases[axis][1])
+            while t_n < n:
+                t_row, t_n = _step(t_row, steps[axis][1]), t_n + 1
+            return t_row
+
         for n in range(n0s[axis], m_max[axis] + 1):
-            rows = _step(rows, bases[axis] if n == n0s[axis] else steps[axis])
-            if axis + 1 == len(bases):
-                yield (*lead, n), *_row_gap(weights, *rows)
-            else:
-                yield from walk(axis + 1, rows, (*lead, n))
+            s_cols, _, factor_den = bases[axis] if n == n0s[axis] else steps[axis]
+            s_row, den = _step(s_row, s_cols), den * factor_den
+            if axis + 1 < len(bases):
+                yield from walk(axis + 1, s_row, den, functools.partial(t_at, n), (*lead, n))
+            elif max(map(operator.mul, s_row, scales)) >= lcm * den:
+                yield (*lead, n), *_row_gap(weights, s_row, t_at(n), den)
 
-    yield from itertools.islice(walk(0, (weights, weights, 1), ()), 1, None)  # base measured above
+    base = tuple(n0s)  # measured above
+    points = walk(0, weights, 1, lambda: weights, ())
+    yield from itertools.dropwhile(lambda gap: gap[0] == base, points)
 
 
 def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
@@ -369,15 +398,10 @@ def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
     return columns(s), columns(t), den
 
 
-def _step(rows: tuple, factor: tuple) -> tuple:
-    """Right-multiply the rows ``(w^T P_S, w^T P_T, den)`` by a factor pair
-    ``(S columns, T columns, den)``: n^2 integer products per side."""
-    (s_row, t_row, den), (s_cols, t_cols, factor_den) = rows, factor
-    return (
-        [sum(map(operator.mul, s_row, col)) for col in s_cols],
-        [sum(map(operator.mul, t_row, col)) for col in t_cols],
-        den * factor_den,
-    )
+def _step(row: Sequence[int], columns: tuple) -> list[int]:
+    """Right-multiply the weighted row ``w^T P`` by a factor given by its
+    numerator columns: n^2 integer products."""
+    return [sum(map(operator.mul, row, col)) for col in columns]
 
 
 def _row_gap(weights: Sequence[int], s_row: list[int], t_row: list[int], den: int) -> tuple:
@@ -492,8 +516,9 @@ def check_family_grid(
 
     The grid is walked by ``_grid_gaps``, the one power-gap walk, in
     lexicographic order, so a FALSIFIED report names the lexicographically
-    first failing point. Past the base point it steps two weighted row
-    vectors, about 2 n^2 integer products per grid point, and holds
+    first failing point. Past the base point it steps the weighted S row,
+    about n^2 integer products per grid point, plus as many for the T row
+    at the points where the S row keeps some column's full mass, and holds
     O(number of pairs) rows, never a table of powers. The walk checks the
     bounds; more than ``GRID_CAP`` points raises ``GridCapExceeded``, the cap
     all three power-gap checkers share. A one-pair family with base

@@ -9,8 +9,9 @@ functions are a per-entry ``Fraction`` reference for the integer kernel of
 dual side instead of the column sums, and ``ref_certificate_scan`` is the
 linear walk that the galloping certificate search replaces.
 ``matrix_grid_gaps`` measures power gaps on ``MatrixOperator`` products,
-the matrix walk that the row walk of ``_grid_gaps`` replaces, and
-``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
+the matrix walk that the row walk of ``_grid_gaps`` replaces;
+``column_stochastic`` builds the mass-conserving factors on which that walk
+must build a T row at every point; and ``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
 column walk of ``zero_two_trace`` replaces. ``ref_decimal_str`` divides
 the two full ``Decimal`` conversions that ``decimal_str``'s one integer
 quotient replaces. The weighted
@@ -225,6 +226,18 @@ def matrix_grid_gaps(
         t_prod = functools.reduce(operator.matmul, (p[e] for p, e in zip(t_powers, exponents)))
         gaps.append((exponents, s_prod.distance(t_prod)))
     return gaps
+
+
+def column_stochastic(weights: tuple[Fraction, ...], parts: list[list[int]]) -> Rows:
+    """Rows of the positive operator that moves the share
+    ``parts[j][i] / sum(parts[j])`` of column j's mass ``w_j`` to point i.
+    So ``w^T S = w^T`` exactly: every column keeps its full mass, and so
+    does every product of such operators."""
+    n = len(weights)
+    return tuple(
+        tuple(Fraction(parts[j][i], sum(parts[j])) * weights[j] / weights[i] for j in range(n))
+        for i in range(n)
+    )
 
 
 def ref_zero_two_trace(

@@ -3,9 +3,10 @@ traces, decomposition witnesses, and the certificate search."""
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dominion.theorems
 from dominion import (
@@ -30,10 +31,11 @@ from dominion import (
 )
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.core import InternalConsistencyError
-from dominion.gallery import random_commuting_family, random_dominated_pair
+from dominion.gallery import random_commuting_family, random_dominated_pair, random_space
 from dominion.theorems import HypothesisCheck, ZeroTwoTrace, _grid_gaps, _power_gap_report, _row_gap
 
 from conftest import (
+    column_stochastic,
     matrix_grid_gaps,
     ref_certificate_scan,
     ref_compose,
@@ -181,9 +183,26 @@ class TestFamilyGrid:
             check_family_grid(family, (3, 3))
 
 
+# Mass-conserving factors on 3 uniform points: S_1 swaps the first and last
+# point, S_2 moves everything to the first, S_3 spreads it evenly. Below
+# them, T_1 halves S_1 and drops its last column, T_2 halves S_2, and T_3
+# drops the middle column of S_3.
+THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
+S1, T1 = ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((0, 0, 0), (0, HALF, 0), (HALF, 0, 0))
+S2, T2 = ((1, 1, 1), (0, 0, 0), (0, 0, 0)), ((HALF, HALF, HALF), (0, 0, 0), (0, 0, 0))
+S3, T3 = ((THIRD,) * 3,) * 3, ((THIRD, 0, THIRD),) * 3
+# The gap of S_1 S_2 is 3/4 at (1, 1) and 1 at (2, 1), where T_1^2 T_2 = 0;
+# that of S_2 S_1 S_2 is 7/8 at (1, 1, 1) and 1 at (1, 2, 1).
+FALSIFIED_CONSERVATIVE = (
+    ((Fraction(1),) * 3, [S1, S2], [T1, T2], (1, 1), (2, 2)),
+    ((Fraction(1),) * 3, [S2, S1, S2], [T2, T1, T2], (1, 1, 1), (2, 2, 2)),
+)
+
+
 class TestExponentBox:
     """``_grid_gaps`` alone checks the exponent box, before any gap is
-    reported, and walks it with one row step per prefix point."""
+    reported, and walks it with one S-row step per prefix point and T-row
+    steps only where the S row keeps some column's full mass."""
 
     def test_every_power_gap_checker_shares_the_grid_cap(self, gap_pair, identity2, monkeypatch):
         monkeypatch.setattr(dominion.theorems, "GRID_CAP", 10)
@@ -195,25 +214,50 @@ class TestExponentBox:
         assert check_pair_product(t, t, s, s, 1, 10).verdict is Verdict.VERIFIED
         assert check_damped_powers(identity2, s, t, 1, 10).verdict is Verdict.HYPOTHESIS_UNMET
 
-    @pytest.mark.parametrize("n0s, m_max, steps", [
-        ((1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5),
-        ((2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3),
-    ])
-    def test_walk_makes_one_step_per_prefix_point(self, monkeypatch, n0s, m_max, steps):
-        calls = []
-        step = dominion.theorems._step
+    @pytest.mark.parametrize("lengths", [(2, 3, 3), (3, 2, 3), (3, 3, 2)], ids=["s", "t", "n0s"])
+    def test_walk_needs_one_factor_pair_and_base_exponent_per_axis(self, gap_pair, lengths):
+        """A shorter list would otherwise leave ``zip`` walking a shorter product."""
+        s_factors, t_factors, n0s = ([x] * k for x, k in zip((gap_pair.s, gap_pair.t, 1), lengths))
+        with pytest.raises(ValueError, match="one S factor, one T factor and one base exponent"):
+            next(_grid_gaps(s_factors, t_factors, n0s, [2] * 3))
 
-        def counted(rows, factor):
-            calls.append(None)
-            return step(rows, factor)
+    @pytest.mark.parametrize("family, n0s, m_max, s_steps, t_steps", [
+        ("random", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5, 0),
+        ("random", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3, 0),
+        ("conservative", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5, 930),
+        ("conservative", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3, 39),
+    ], ids=["random", "random-offset", "conservative", "conservative-offset"])
+    def test_walk_steps_t_rows_only_where_s_keeps_full_mass(
+        self, monkeypatch, family, n0s, m_max, s_steps, t_steps
+    ):
+        """No column of the random family's S products keeps its full mass,
+        so no T row is built; every column of the conservative family's
+        does, so every S step is mirrored by one T step."""
+        if family == "random":
+            pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
+            s_factors, t_factors = [p.s for p in pairs], [p.t for p in pairs]
+        else:
+            space = MeasureSpace((1, 1, 1))
+            s_factors = [MatrixOperator(space, rows) for rows in (S1, S2, S3)]
+            t_factors = [MatrixOperator(space, rows) for rows in (T1, T2, T3)]
+        s_columns, kinds = [], []
+        factor_columns, step = dominion.theorems._factor_columns, dominion.theorems._step
 
+        def recorded(s, t, den):
+            columns = factor_columns(s, t, den)
+            s_columns.append(columns[0])
+            return columns
+
+        def counted(row, columns):
+            kinds.append("S" if any(columns is c for c in s_columns) else "T")
+            return step(row, columns)
+
+        monkeypatch.setattr(dominion.theorems, "_factor_columns", recorded)
         monkeypatch.setattr(dominion.theorems, "_step", counted)
-        family = random_commuting_family(2, 3, 3, degree=2, denom_cap=64)
-        s_factors = [pair.s for pair in family.pairs]
-        t_factors = [pair.t for pair in family.pairs]
         points = [p for p, _, _ in _grid_gaps(s_factors, t_factors, n0s, m_max)]
-        assert points == list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
-        assert len(calls) == steps
+        box = list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
+        assert points == (box if t_steps else box[:1])
+        assert (kinds.count("S"), kinds.count("T")) == (s_steps, t_steps)
 
 
 def _entries(low):
@@ -273,24 +317,42 @@ def undominated_case(draw):
     return weights, a, x, b, y
 
 
+def assert_walk_settles(got, ref):
+    """The walk's yields ``got`` against ``ref``, the exact gap at every
+    point of the box in lexicographic order: the base point comes first with
+    its gap, every yielded gap is exact (which pins the factor order of its
+    products), the yields are in lexicographic order, and every point with
+    gap >= 1 is yielded, so the first failure is the first one yielded."""
+    exact = dict(ref)
+    points = [p for p, _ in got]
+    assert got[0] == ref[0]
+    assert all(gap == exact[p] for p, gap in got)
+    assert points == sorted(set(points))
+    assert {p for p, gap in ref if gap >= 1} <= set(points)
+
+
+def walk_gaps(s_factors, t_factors, n0s, m_max):
+    """``_grid_gaps`` with each ``(point, num, den)`` read as ``(point, num / den)``."""
+    return [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_factors, t_factors, n0s, m_max)]
+
+
 class TestPowerGapKernel:
     """The row walk against products built from scratch in the Fraction
-    reference, on factors with ``0 <= T_i <= S_i`` that need not commute."""
+    reference, on factors with ``0 <= T_i <= S_i`` that need not commute.
+    Entries reach 2, so some S products keep or gain a column's full mass,
+    and the walk builds T rows there."""
 
     @staticmethod
     def walk(space, s_rows, t_rows, n0s, m_max):
-        """``_grid_gaps`` on operators built from Fraction rows, with each
-        ``(point, num, den)`` read as ``(point, num / den)``."""
+        """``_grid_gaps`` on operators built from Fraction rows."""
         s_ops = [MatrixOperator(space, r) for r in s_rows]
         t_ops = [MatrixOperator(space, r) for r in t_rows]
-        return [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_ops, t_ops, n0s, m_max)]
+        return walk_gaps(s_ops, t_ops, n0s, m_max)
 
     def assert_grid_matches(self, case):
-        """The whole sequence of (exponents, gap): its order pins the first
-        failure, its values pin the factor order of every product."""
         weights, s_rows, t_rows, n0s, m_max = case
         got = self.walk(MeasureSpace(weights), s_rows, t_rows, n0s, m_max)
-        assert got == ref_grid_gaps(weights, s_rows, t_rows, n0s, m_max)
+        assert_walk_settles(got, ref_grid_gaps(weights, s_rows, t_rows, n0s, m_max))
 
     @settings(max_examples=40)
     @given(grid_case())
@@ -309,12 +371,12 @@ class TestPowerGapKernel:
         |A X^n - B Y^n| for 0 <= B <= A and 0 <= Y <= X, not commuting."""
         weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
         got = self.walk(MeasureSpace(weights), [a, x], [b, y], (1, n0), (1, n0 + steps))
-        assert got == [
+        assert_walk_settles(got, [
             ((1, n), ref_norm(weights, ref_sub(
                 ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n))
             )))
             for n in range(n0, n0 + steps + 1)
-        ]
+        ])
 
     def test_grid_keeps_axis_order_of_non_commuting_factors(self):
         space = MeasureSpace((1, 3))
@@ -378,9 +440,9 @@ class TestRowWalkAtWorkloadScale:
 
     @staticmethod
     def assert_walks_agree(s_factors, t_factors, n0s, m_max):
-        got = [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_factors, t_factors, n0s, m_max)]
-        assert got == matrix_grid_gaps(s_factors, t_factors, n0s, m_max)
-        assert max(gap.denominator for _, gap in got).bit_length() > 1000
+        ref = matrix_grid_gaps(s_factors, t_factors, n0s, m_max)
+        assert_walk_settles(walk_gaps(s_factors, t_factors, n0s, m_max), ref)
+        assert max(gap.denominator for _, gap in ref).bit_length() > 1000
 
     @pytest.mark.parametrize("seed", [5, 7_000_003, 31_000_017])
     def test_dominated_powers(self, seed):
@@ -393,6 +455,81 @@ class TestRowWalkAtWorkloadScale:
         s_factors = [pair.s for pair in family.pairs]
         t_factors = [pair.t for pair in family.pairs]
         self.assert_walks_agree(s_factors, t_factors, family.base_exponents, (30, 5, 5))
+
+    def test_conservative_pair_builds_every_t_row(self):
+        """A dense 4-point S that keeps every column's full mass, and T that
+        zeroes some of its entries: every point is yielded, exactly."""
+        rng = Random(12)
+        space = random_space(rng, 4)
+        parts = [[rng.randint(1, 999) for _ in range(4)] for _ in range(4)]
+        s_rows = column_stochastic(space.weights, parts)
+        t_rows = tuple(tuple(x if rng.random() < 0.6 else 0 for x in row) for row in s_rows)
+        s, t = MatrixOperator(space, s_rows), MatrixOperator(space, t_rows)
+        got = walk_gaps([s], [t], (1,), (50,))
+        assert got == matrix_grid_gaps([s], [t], (1,), (50,))
+        assert max(gap.denominator for _, gap in got).bit_length() > 1000
+
+
+@st.composite
+def conservative_case(draw):
+    """One to three axes of (S_i, T_i) on a 2 or 3 point space: each S_i
+    keeps every column's full mass, ``w^T S_i = w^T``, and T_i is S_i with
+    some entries zeroed. Nothing makes the factors commute."""
+    weights = _space_weights(draw, min_n=2)
+    n = len(weights)
+    column = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n).filter(any)
+    axes = draw(st.integers(min_value=1, max_value=3))
+    s_rows = [column_stochastic(weights, [draw(column) for _ in range(n)]) for _ in range(axes)]
+    kept = st.integers(min_value=0, max_value=2)  # an entry is zeroed when 0 is drawn
+    t_rows = [tuple(tuple(x if draw(kept) else 0 for x in row) for row in s) for s in s_rows]
+    n0s = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(axes))
+    m_max = tuple(n0 + draw(st.integers(min_value=0, max_value=2)) for n0 in n0s)
+    return weights, s_rows, t_rows, n0s, m_max
+
+
+class TestConservativeRegime:
+    """Mass-conserving S, the regime where gaps reach exactly 1: the S row
+    settles no point, so the walk yields every gap, building the T rows
+    through its cursors, and a report names the first gap >= 1 of the
+    matrix walk."""
+
+    @staticmethod
+    def walk_args(case):
+        """``(S factors, T factors, n0s, m_max)`` of a case built from rows."""
+        weights, s_rows, t_rows, n0s, m_max = case
+        space = MeasureSpace(weights)
+        ops = ([MatrixOperator(space, r) for r in rows] for rows in (s_rows, t_rows))
+        return (*ops, n0s, m_max)
+
+    @staticmethod
+    def report(args):
+        return _power_gap_report("c", [], _grid_gaps(*args), tuple(zip(*args[2:])))
+
+    @settings(max_examples=60)
+    @given(conservative_case())
+    @example(FALSIFIED_CONSERVATIVE[0])
+    @example(FALSIFIED_CONSERVATIVE[1])
+    def test_reports_match_the_matrix_walk(self, case):
+        args = self.walk_args(case)
+        ref = matrix_grid_gaps(*args)
+        assert walk_gaps(*args) == ref
+        report = self.report(args)
+        if ref[0][1] >= 1:
+            assert report.verdict is Verdict.HYPOTHESIS_UNMET
+            return
+        failure = next(((p, gap) for p, gap in ref[1:] if gap >= 1), (None, None))
+        assert report.verdict is (Verdict.VERIFIED if failure[0] is None else Verdict.FALSIFIED)
+        assert (report.failure_point, report.failure_norm) == failure
+
+    @pytest.mark.parametrize("case, base, first_failure", [
+        (FALSIFIED_CONSERVATIVE[0], Fraction(3, 4), ((2, 1), 1)),
+        (FALSIFIED_CONSERVATIVE[1], Fraction(7, 8), ((1, 2, 1), 1)),
+    ])
+    def test_examples_fail_at_their_first_unit_gap(self, case, base, first_failure):
+        report = self.report(self.walk_args(case))
+        assert report.values == (("base gap norm", base),)
+        assert report.verdict is Verdict.FALSIFIED
+        assert (report.failure_point, report.failure_norm) == first_failure
 
 
 class TestCompositionCounts:

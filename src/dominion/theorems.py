@@ -332,6 +332,18 @@ def _grid_gaps(
     its prefix's, so there are at most as many T steps as S steps; the gap is
     measured there, and a negative row difference raises
     ``InternalConsistencyError``.
+
+    When every S_i is a contraction, axis i stops at ``N_i - 1`` for the leak
+    depth ``N_i``, the first n at which ``Zl(S_i^n)`` is empty, where
+    ``Zl(P) = {j : w^T P e_j = w_j}`` is the set of columns whose full mass P
+    keeps. For positive contractions ``w^T A B e_j = sum_k (w^T A e_k) B_kj
+    <= w^T B e_j <= w_j``, with equality exactly when ``j in Zl(B)`` and
+    ``supp(B e_j)`` lies in ``Zl(A)``: ``Zl(AB) = {j in Zl(B) : supp(B e_j)
+    in Zl(A)}``. So ``Zl(AB)`` is empty once ``Zl(A)`` or ``Zl(B)`` is, and
+    every point with some ``n_i >= N_i`` is one that the S row settles;
+    none is stepped, and if at most the base point is left the walk stops
+    after it. The box checks and the ``GRID_CAP`` above still judge the
+    requested box.
     """
     if not len(s_factors) == len(t_factors) == len(n0s):
         raise ValueError("one S factor, one T factor and one base exponent are required per axis")
@@ -355,9 +367,13 @@ def _grid_gaps(
     for i, (s_cols, t_cols, _) in enumerate(steps):
         if not all(0 <= b <= a for sc, tc in zip(s_cols, t_cols) for a, b in zip(sc, tc)):
             raise ValueError(f"factor pair {i + 1} breaks 0 <= T <= S")
+    weights = s_factors[0].space._integer_weights
+    depths = _leak_depths(steps, weights)
+    tops = [m if depth is None else min(m, depth - 1) for m, depth in zip(m_max, depths)]
+    if math.prod(max(top - n0 + 1, 0) for top, n0 in zip(tops, n0s)) < 2:
+        return  # nothing past the base point is left to walk
     dens = (den**n0 for (_, _, den), n0 in zip(steps, n0s))
     bases = [_factor_columns(s, t, den) for s, t, den in zip(s_base, t_base, dens)]
-    weights = s_factors[0].space._integer_weights
     lcm = math.lcm(*weights)
     scales = [lcm // w for w in weights]  # s_j < w_j den iff s_j (lcm / w_j) < lcm den
 
@@ -374,7 +390,7 @@ def _grid_gaps(
                 t_row, t_n = _step(t_row, steps[axis][1]), t_n + 1
             return t_row
 
-        for n in range(n0s[axis], m_max[axis] + 1):
+        for n in range(n0s[axis], tops[axis] + 1):
             s_cols, _, factor_den = bases[axis] if n == n0s[axis] else steps[axis]
             s_row, den = _step(s_row, s_cols), den * factor_den
             if axis + 1 < len(bases):
@@ -396,6 +412,43 @@ def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
         return tuple(tuple(p * scale for p in col) for col in zip(*op.num))
 
     return columns(s), columns(t), den
+
+
+def _full_mass_chain(columns: tuple, weights: Sequence[int], den: int) -> Iterator[frozenset[int]]:
+    """``Zl(S^n)`` for n = 1, 2, ... of the positive contraction S given by
+    its numerator ``columns`` over ``den``: by the ``Zl(AB)`` identity of
+    ``_grid_gaps``, ``Zl(S^(n+1)) = {j in Zl(S) : supp(S e_j) in Zl(S^n)}``,
+    a shrinking chain that is stable after at most |X| + 1 powers."""
+    supports = {
+        j: {k for k, a in enumerate(col) if a}
+        for j, (w_j, col) in enumerate(zip(weights, columns))
+        if sum(map(operator.mul, weights, col)) == w_j * den
+    }
+    kept = frozenset(supports)
+    while True:
+        yield kept
+        kept = frozenset(j for j, support in supports.items() if support <= kept)
+
+
+def _leak_depths(steps: Sequence[tuple], weights: Sequence[int]) -> list[int | None]:
+    """The leak depth of each S factor of ``steps``, its ``(S columns, T
+    columns, den)``: the first n with ``Zl(S^n)`` empty, or None where the
+    chain stops at a nonempty set. The chain needs ``S >= 0``, which the
+    caller's ``0 <= T <= S`` check gives, and every factor a contraction,
+    ``w^T S e_j <= w_j`` for every j; otherwise every depth is None."""
+    if any(
+        sum(map(operator.mul, weights, col)) > w_j * den
+        for cols, _, den in steps
+        for w_j, col in zip(weights, cols)
+    ):
+        return [None] * len(steps)
+    depths = []
+    for cols, _, den in steps:
+        for n, (kept, after) in enumerate(itertools.pairwise(_full_mass_chain(cols, weights, den)), 1):
+            if not kept or kept == after:
+                depths.append(None if kept else n)
+                break
+    return depths
 
 
 def _step(row: Sequence[int], columns: tuple) -> list[int]:
@@ -519,10 +572,14 @@ def check_family_grid(
     first failing point. Past the base point it steps the weighted S row,
     about n^2 integer products per grid point, plus as many for the T row
     at the points where the S row keeps some column's full mass, and holds
-    O(number of pairs) rows, never a table of powers. The walk checks the
-    bounds; more than ``GRID_CAP`` points raises ``GridCapExceeded``, the cap
-    all three power-gap checkers share. A one-pair family with base
-    exponent 1 is Zaharopol's |S^n - T^n| < 1.
+    O(number of pairs) rows, never a table of powers. It steps only the
+    points below every S_i's leak depth (``_grid_gaps``): with base
+    exponents 1, a family whose S_i all leak mass from every column by
+    their second power, as the gallery's random families on the acceptance
+    draws do, costs one S-row step per axis whatever ``m_max`` is. The walk
+    checks the bounds on the requested box; more than ``GRID_CAP`` points
+    raises ``GridCapExceeded``, the cap all three power-gap checkers share.
+    A one-pair family with base exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents
     command = f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"

@@ -2,6 +2,7 @@
 traces, decomposition witnesses, and the certificate search."""
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -32,7 +33,16 @@ from dominion import (
 from dominion.sweeps import meet_bound_instance, sweep_dominated_powers, sweep_meet_bound
 from dominion.core import InternalConsistencyError
 from dominion.gallery import random_commuting_family, random_dominated_pair, random_space
-from dominion.theorems import HypothesisCheck, ZeroTwoTrace, _grid_gaps, _power_gap_report, _row_gap
+from dominion.theorems import (
+    HypothesisCheck,
+    ZeroTwoTrace,
+    _factor_columns,
+    _full_mass_chain,
+    _grid_gaps,
+    _leak_depths,
+    _power_gap_report,
+    _row_gap,
+)
 
 from conftest import (
     column_stochastic,
@@ -222,17 +232,19 @@ class TestExponentBox:
             next(_grid_gaps(s_factors, t_factors, n0s, [2] * 3))
 
     @pytest.mark.parametrize("family, n0s, m_max, s_steps, t_steps", [
-        ("random", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5, 0),
-        ("random", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3, 0),
+        ("random", (1, 1, 1), (30, 5, 5), 0, 0),
+        ("random", (2, 3, 1), (4, 5, 3), 0, 0),
         ("conservative", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5, 930),
         ("conservative", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3, 39),
     ], ids=["random", "random-offset", "conservative", "conservative-offset"])
     def test_walk_steps_t_rows_only_where_s_keeps_full_mass(
         self, monkeypatch, family, n0s, m_max, s_steps, t_steps
     ):
-        """No column of the random family's S products keeps its full mass,
-        so no T row is built; every column of the conservative family's
-        does, so every S step is mirrored by one T step."""
+        """Each S factor of the random family has leak depth 2, so no point
+        past the base point of either box is left to walk, and no row is
+        stepped. Every column of the conservative family's S products keeps
+        its full mass, so no axis is capped and every S step is mirrored by
+        one T step."""
         if family == "random":
             pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
             s_factors, t_factors = [p.s for p in pairs], [p.t for p in pairs]
@@ -530,6 +542,121 @@ class TestConservativeRegime:
         assert report.values == (("base gap norm", base),)
         assert report.verdict is Verdict.FALSIFIED
         assert (report.failure_point, report.failure_norm) == first_failure
+
+
+@st.composite
+def leaking_case(draw):
+    """A ``conservative_case`` with some columns of each S_i, and the same
+    columns of T_i, scaled by 1/2: those columns leak mass, the others keep
+    it, so the chains ``Zl(S_i^n)`` shrink to empty or stop at a nonempty set."""
+    weights, s_rows, t_rows, n0s, m_max = draw(conservative_case())
+    scales = [[draw(st.sampled_from((1, 1, HALF))) for _ in weights] for _ in s_rows]
+
+    def scaled(axes):
+        return [tuple(tuple(x * c_j for x, c_j in zip(row, c)) for row in rows) for rows, c in zip(axes, scales)]
+
+    return weights, scaled(s_rows), scaled(t_rows), n0s, m_max
+
+
+@st.composite
+def gallery_case(draw):
+    """One or two commuting pairs of ``random_commuting_family`` on three
+    points, with a box of up to four exponents per axis."""
+    family = random_commuting_family(draw(st.integers(0, 10**6)), draw(st.integers(1, 2)), 3, degree=2)
+    rows = ([getattr(p, side).entries for p in family.pairs] for side in "st")
+    m_max = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in family.pairs)
+    return (family.pairs[0].s.space.weights, *rows, family.base_exponents, m_max)
+
+
+def leak_depths(s_factors, t_factors):
+    """``_leak_depths`` on the step columns ``_grid_gaps`` builds."""
+    steps = [_factor_columns(s, t, math.lcm(s.den, t.den)) for s, t in zip(s_factors, t_factors)]
+    return _leak_depths(steps, s_factors[0].space._integer_weights)
+
+
+# On weights (1, 2), S keeps the full mass of its first column only, and
+# moves some of it to the second point, so Zl(S) = {0} and Zl(S^2) is empty.
+# On 3 uniform points the shift e_0 -> e_1 -> e_2 -> e_2 / 2 has
+# Zl = {0, 1}, {0}, {} for its first three powers, and T is half of it.
+QUARTER = Fraction(1, 4)
+SHIFT = ((0, 0, 0), (1, 0, 0), (0, 1, HALF))
+LEAKS_AT = {
+    2: ((Fraction(1), Fraction(2)), [((HALF, 0), (QUARTER, QUARTER))], [((0, 0), (QUARTER, QUARTER))], (1,), (4,)),
+    3: ((Fraction(1),) * 3, [SHIFT, SHIFT], [tuple(tuple(x * HALF for x in row) for row in SHIFT)] * 2, (1, 1), (4, 4)),
+}
+
+
+class TestLeakDepth:
+    """Each axis of the walk stops at its S factor's leak depth N_i minus one:
+    past it ``Zl(S_i^(n_i))`` is empty, so no column of the product keeps its
+    full mass and the S row settles the point. Every other check of the walk
+    still runs."""
+
+    @settings(max_examples=60)
+    @given(st.one_of(conservative_case(), leaking_case(), gallery_case()))
+    @example(LEAKS_AT[2])
+    @example(LEAKS_AT[3])
+    def test_chain_is_the_full_mass_columns_of_each_power(self, case):
+        weights, s_rows, *_ = case
+        space = MeasureSpace(weights)
+        for rows in s_rows:
+            s = MatrixOperator(space, rows)
+            chain = _full_mass_chain(_factor_columns(s, s, s.den)[0], space._integer_weights, s.den)
+            for n, kept in zip(range(1, len(weights) + 3), chain):
+                power = ref_power(rows, n)
+                exact = {j for j, w_j in enumerate(weights) if sum(w * r[j] for w, r in zip(weights, power)) == w_j}
+                assert kept == exact
+
+    @settings(max_examples=60)
+    @given(st.one_of(conservative_case(), leaking_case(), gallery_case()))
+    @example(LEAKS_AT[2])
+    @example(LEAKS_AT[3])
+    def test_capped_walk_yields_every_point_the_s_row_leaves_open(self, case):
+        """The yields settle like the matrix walk, and past the base point they
+        are exactly the points where some column of the S product keeps its
+        full mass, so the S product has norm 1."""
+        args = TestConservativeRegime.walk_args(case)
+        got, ref = walk_gaps(*args), matrix_grid_gaps(*args)
+        assert_walk_settles(got, ref)
+        s_products = matrix_grid_gaps(args[0], [MatrixOperator.zero(args[0][0].space)] * len(args[0]), *args[2:])
+        assert [p for p, _ in got[1:]] == [p for p, norm in s_products[1:] if norm >= 1]
+
+    def test_gallery_family_leaks_by_its_second_power(self):
+        pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
+        assert leak_depths([p.s for p in pairs], [p.t for p in pairs]) == [2, 2, 2]
+
+    def test_a_non_contraction_is_never_capped(self):
+        """``diag(2, 1/2)`` keeps the full mass of no column, yet its powers
+        have gap 2^n from 0; the contraction ``I/2`` beside it is not capped
+        either, as the product ``diag(2^a / 2^b, 1 / 2^(a + b))`` shows."""
+        space = MeasureSpace((1, 1))
+        s = MatrixOperator(space, ((2, 0), (0, HALF)))
+        half, zero = MatrixOperator.identity(space) / 2, MatrixOperator.zero(space)
+        assert leak_depths([s], [zero]) == [None]
+        assert leak_depths([half], [zero]) == [1]
+        assert walk_gaps([s], [zero], (1,), (4,)) == [((n,), 2**n) for n in range(1, 5)]
+        args = [s, half], [zero, zero], (1, 1), (3, 3)
+        assert leak_depths(*args[:2]) == [None, None]
+        got, ref = walk_gaps(*args), matrix_grid_gaps(*args)
+        assert_walk_settles(got, ref)
+        assert [p for p, gap in got if gap >= 1] == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("n0", [1, 2])
+    def test_a_pair_outside_zero_to_s_raises_though_s_leaks(self, n0):
+        space = MeasureSpace((1, 1))
+        half, identity = MatrixOperator.identity(space) / 2, MatrixOperator.identity(space)
+        assert leak_depths([half], [half]) == [1]
+        gaps = _grid_gaps([half], [identity], (n0,), (3,))
+        next(gaps)  # the base gap is measured whatever the factors
+        with pytest.raises(ValueError, match="factor pair 1 breaks 0 <= T <= S"):
+            next(gaps)
+
+    def test_grid_cap_is_judged_on_the_requested_box(self, gap_pair):
+        pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
+        assert leak_depths([pair.s], [pair.t]) == [2]
+        family = CommutingFamily(pairs=(pair, pair), base_exponents=(1, 1))
+        with pytest.raises(GridCapExceeded, match="requested grid has 1001000 points"):
+            check_family_grid(family, (1001, 1000))
 
 
 class TestCompositionCounts:

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .calculus import is_lattice_homomorphism, operator_meet
 from .core import (
@@ -307,8 +307,8 @@ def _grid_gaps(
     """The power-gap walk over the box n_i in [n0s[i], m_max[i]]. It yields
     ``(exponents, num, den)`` with ``num / den`` the exact gap
     ``|S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|``: first at the base
-    point, then, in lexicographic order, at each point that the S row alone
-    does not settle below one (below), which includes every gap >= 1.
+    point, then, in lexicographic order, at every other point of the box
+    below the leak depths (below), which includes every gap >= 1.
 
     It is the one check of the exponent box: before yielding it needs one S
     factor, T factor, base exponent and bound per axis, every n0 >= 1 and
@@ -325,12 +325,8 @@ def _grid_gaps(
     T_i)``. The rows are walked by recursion in factor order (nothing need
     commute): axis i right-multiplies the rows of the axes before it by its
     base factor, then by its step factor, n^2 integer products per step and
-    no gcd. The S row is stepped at every point. As ``t >= 0``, a point where
-    every column leaks mass, ``s_j < w_j den`` for all j, has gap at most
-    ``max_j s_j / (w_j den) < 1`` and needs no T row. Elsewhere a cursor per
-    axis catches the T row up from the last one built on that axis, or from
-    its prefix's, so there are at most as many T steps as S steps; the gap is
-    measured there, and a negative row difference raises
+    no gcd. Both rows are stepped at every walked point and the gap is
+    measured there; a negative row difference raises
     ``InternalConsistencyError``.
 
     When every S_i is a contraction, axis i stops at ``N_i - 1`` for the leak
@@ -339,11 +335,12 @@ def _grid_gaps(
     keeps. For positive contractions ``w^T A B e_j = sum_k (w^T A e_k) B_kj
     <= w^T B e_j <= w_j``, with equality exactly when ``j in Zl(B)`` and
     ``supp(B e_j)`` lies in ``Zl(A)``: ``Zl(AB) = {j in Zl(B) : supp(B e_j)
-    in Zl(A)}``. So ``Zl(AB)`` is empty once ``Zl(A)`` or ``Zl(B)`` is, and
-    every point with some ``n_i >= N_i`` is one that the S row settles;
-    none is stepped, and if at most the base point is left the walk stops
-    after it. The box checks and the ``GRID_CAP`` above still judge the
-    requested box.
+    in Zl(A)}``. So ``Zl(AB)`` is empty once ``Zl(A)`` or ``Zl(B)`` is: at a
+    point with some ``n_i >= N_i`` every column leaks mass, ``s_j < w_j
+    den``, and as ``t >= 0`` the gap is at most ``max_j s_j / (w_j den) <
+    1``. No such point is walked, and if at most the base point is left the
+    walk stops after it. The box checks and the ``GRID_CAP`` above still
+    judge the requested box.
     """
     if not len(s_factors) == len(t_factors) == len(n0s):
         raise ValueError("one S factor, one T factor and one base exponent are required per axis")
@@ -374,33 +371,21 @@ def _grid_gaps(
         return  # nothing past the base point is left to walk
     dens = (den**n0 for (_, _, den), n0 in zip(steps, n0s))
     bases = [_factor_columns(s, t, den) for s, t, den in zip(s_base, t_base, dens)]
-    lcm = math.lcm(*weights)
-    scales = [lcm // w for w in weights]  # s_j < w_j den iff s_j (lcm / w_j) < lcm den
 
-    def walk(axis: int, s_row: Sequence[int], den: int, t_prefix: Callable, lead: tuple) -> Iterator:
-        """Points of the axes from ``axis`` on, under the prefix whose S row
-        is ``s_row`` and whose T row ``t_prefix()`` builds on demand."""
-        t_row, t_n = None, n0s[axis]
-
-        def t_at(n: int) -> list[int]:
-            nonlocal t_row, t_n
-            if t_row is None:
-                t_row = _step(t_prefix(), bases[axis][1])
-            while t_n < n:
-                t_row, t_n = _step(t_row, steps[axis][1]), t_n + 1
-            return t_row
-
+    def walk(axis: int, s_row: Sequence[int], t_row: Sequence[int], den: int, lead: tuple) -> Iterator:
+        """``(point, s_row, t_row, den)`` at each point of the axes from ``axis``
+        on, stepped from the prefix rows ``s_row`` and ``t_row`` over ``den``."""
         for n in range(n0s[axis], tops[axis] + 1):
-            s_cols, _, factor_den = bases[axis] if n == n0s[axis] else steps[axis]
-            s_row, den = _step(s_row, s_cols), den * factor_den
+            s_cols, t_cols, factor_den = bases[axis] if n == n0s[axis] else steps[axis]
+            s_row, t_row, den = _step(s_row, s_cols), _step(t_row, t_cols), den * factor_den
             if axis + 1 < len(bases):
-                yield from walk(axis + 1, s_row, den, functools.partial(t_at, n), (*lead, n))
-            elif max(map(operator.mul, s_row, scales)) >= lcm * den:
-                yield (*lead, n), *_row_gap(weights, s_row, t_at(n), den)
+                yield from walk(axis + 1, s_row, t_row, den, (*lead, n))
+            else:
+                yield (*lead, n), s_row, t_row, den
 
-    base = tuple(n0s)  # measured above
-    points = walk(0, weights, 1, lambda: weights, ())
-    yield from itertools.dropwhile(lambda gap: gap[0] == base, points)
+    points = itertools.islice(walk(0, weights, weights, 1, ()), 1, None)  # the base point is measured above
+    for point, s_row, t_row, den in points:
+        yield point, *_row_gap(weights, s_row, t_row, den)
 
 
 def _factor_columns(s: MatrixOperator, t: MatrixOperator, den: int) -> tuple:
@@ -569,16 +554,15 @@ def check_family_grid(
 
     The grid is walked by ``_grid_gaps``, the one power-gap walk, in
     lexicographic order, so a FALSIFIED report names the lexicographically
-    first failing point. Past the base point it steps the weighted S row,
-    about n^2 integer products per grid point, plus as many for the T row
-    at the points where the S row keeps some column's full mass, and holds
-    O(number of pairs) rows, never a table of powers. It steps only the
-    points below every S_i's leak depth (``_grid_gaps``): with base
-    exponents 1, a family whose S_i all leak mass from every column by
-    their second power, as the gallery's random families on the acceptance
-    draws do, costs one S-row step per axis whatever ``m_max`` is. The walk
-    checks the bounds on the requested box; more than ``GRID_CAP`` points
-    raises ``GridCapExceeded``, the cap all three power-gap checkers share.
+    first failing point. Past the base point it steps the weighted S and T
+    rows, about 2 n^2 integer products per grid point, and holds O(number
+    of pairs) rows, never a table of powers. It steps only the points below
+    every S_i's leak depth (``_grid_gaps``): with base exponents 1, a family
+    whose S_i all leak mass from every column by their second power, as the
+    gallery's random families on the acceptance draws do, steps no row at
+    all whatever ``m_max`` is. The walk checks the bounds on the requested
+    box; more than ``GRID_CAP`` points raises ``GridCapExceeded``, the cap
+    all three power-gap checkers share.
     A one-pair family with base exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents

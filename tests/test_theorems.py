@@ -211,8 +211,8 @@ FALSIFIED_CONSERVATIVE = (
 
 class TestExponentBox:
     """``_grid_gaps`` alone checks the exponent box, before any gap is
-    reported, and walks it with one S-row step per prefix point and T-row
-    steps only where the S row keeps some column's full mass."""
+    reported, and walks it with one S-row and one T-row step per prefix
+    point of the box below the leak depths."""
 
     def test_every_power_gap_checker_shares_the_grid_cap(self, gap_pair, identity2, monkeypatch):
         monkeypatch.setattr(dominion.theorems, "GRID_CAP", 10)
@@ -231,20 +231,18 @@ class TestExponentBox:
         with pytest.raises(ValueError, match="one S factor, one T factor and one base exponent"):
             next(_grid_gaps(s_factors, t_factors, n0s, [2] * 3))
 
-    @pytest.mark.parametrize("family, n0s, m_max, s_steps, t_steps", [
-        ("random", (1, 1, 1), (30, 5, 5), 0, 0),
-        ("random", (2, 3, 1), (4, 5, 3), 0, 0),
-        ("conservative", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5, 930),
-        ("conservative", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3, 39),
+    @pytest.mark.parametrize("family, n0s, m_max, steps", [
+        ("random", (1, 1, 1), (30, 5, 5), 0),
+        ("random", (2, 3, 1), (4, 5, 3), 0),
+        ("conservative", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5),
+        ("conservative", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3),
     ], ids=["random", "random-offset", "conservative", "conservative-offset"])
-    def test_walk_steps_t_rows_only_where_s_keeps_full_mass(
-        self, monkeypatch, family, n0s, m_max, s_steps, t_steps
-    ):
+    def test_walk_steps_both_rows_per_capped_point(self, monkeypatch, family, n0s, m_max, steps):
         """Each S factor of the random family has leak depth 2, so no point
         past the base point of either box is left to walk, and no row is
         stepped. Every column of the conservative family's S products keeps
-        its full mass, so no axis is capped and every S step is mirrored by
-        one T step."""
+        its full mass, so no axis is capped, and each prefix point of the box
+        takes one S step and one T step."""
         if family == "random":
             pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
             s_factors, t_factors = [p.s for p in pairs], [p.t for p in pairs]
@@ -268,8 +266,8 @@ class TestExponentBox:
         monkeypatch.setattr(dominion.theorems, "_step", counted)
         points = [p for p, _, _ in _grid_gaps(s_factors, t_factors, n0s, m_max)]
         box = list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
-        assert points == (box if t_steps else box[:1])
-        assert (kinds.count("S"), kinds.count("T")) == (s_steps, t_steps)
+        assert points == (box if steps else box[:1])
+        assert (kinds.count("S"), kinds.count("T")) == (steps, steps)
 
 
 def _entries(low):
@@ -329,42 +327,44 @@ def undominated_case(draw):
     return weights, a, x, b, y
 
 
-def assert_walk_settles(got, ref):
-    """The walk's yields ``got`` against ``ref``, the exact gap at every
-    point of the box in lexicographic order: the base point comes first with
-    its gap, every yielded gap is exact (which pins the factor order of its
-    products), the yields are in lexicographic order, and every point with
-    gap >= 1 is yielded, so the first failure is the first one yielded."""
-    exact = dict(ref)
-    points = [p for p, _ in got]
-    assert got[0] == ref[0]
-    assert all(gap == exact[p] for p, gap in got)
-    assert points == sorted(set(points))
-    assert {p for p, gap in ref if gap >= 1} <= set(points)
-
-
 def walk_gaps(s_factors, t_factors, n0s, m_max):
     """``_grid_gaps`` with each ``(point, num, den)`` read as ``(point, num / den)``."""
     return [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_factors, t_factors, n0s, m_max)]
+
+
+def walk_args(case):
+    """``(S factors, T factors, n0s, m_max)`` of a case built from rows."""
+    weights, s_rows, t_rows, n0s, m_max = case
+    space = MeasureSpace(weights)
+    ops = ([MatrixOperator(space, r) for r in rows] for rows in (s_rows, t_rows))
+    return (*ops, n0s, m_max)
+
+
+def assert_walk_yields_capped_box(args, ref):
+    """``_grid_gaps(*args)`` against ``ref``, the exact gap at every point of
+    the box in lexicographic order: it yields the base point, then every
+    other point of the box below each S factor's leak depth, in order, each
+    with its exact gap (which pins the factor order of its products); every
+    gap >= 1 is among them, so the first failure is the first one yielded.
+    Returns the yields."""
+    s_factors, t_factors, n0s, m_max = args
+    tops = [m if n is None else min(m, n - 1) for m, n in zip(m_max, leak_depths(s_factors, t_factors))]
+    box = set(itertools.product(*map(range, n0s, (top + 1 for top in tops))))
+    got = walk_gaps(*args)
+    assert got == ref[:1] + [(p, gap) for p, gap in ref[1:] if p in box]
+    assert {p for p, gap in ref if gap >= 1} <= {p for p, _ in got}
+    return got
 
 
 class TestPowerGapKernel:
     """The row walk against products built from scratch in the Fraction
     reference, on factors with ``0 <= T_i <= S_i`` that need not commute.
     Entries reach 2, so some S products keep or gain a column's full mass,
-    and the walk builds T rows there."""
+    and the walk yields every point of the box below the leak depths."""
 
     @staticmethod
-    def walk(space, s_rows, t_rows, n0s, m_max):
-        """``_grid_gaps`` on operators built from Fraction rows."""
-        s_ops = [MatrixOperator(space, r) for r in s_rows]
-        t_ops = [MatrixOperator(space, r) for r in t_rows]
-        return walk_gaps(s_ops, t_ops, n0s, m_max)
-
-    def assert_grid_matches(self, case):
-        weights, s_rows, t_rows, n0s, m_max = case
-        got = self.walk(MeasureSpace(weights), s_rows, t_rows, n0s, m_max)
-        assert_walk_settles(got, ref_grid_gaps(weights, s_rows, t_rows, n0s, m_max))
+    def assert_grid_matches(case):
+        assert_walk_yields_capped_box(walk_args(case), ref_grid_gaps(*case))
 
     @settings(max_examples=40)
     @given(grid_case())
@@ -382,8 +382,8 @@ class TestPowerGapKernel:
         """The shape the pair-product and damped-powers checkers walk:
         |A X^n - B Y^n| for 0 <= B <= A and 0 <= Y <= X, not commuting."""
         weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
-        got = self.walk(MeasureSpace(weights), [a, x], [b, y], (1, n0), (1, n0 + steps))
-        assert_walk_settles(got, [
+        args = walk_args((weights, [a, x], [b, y], (1, n0), (1, n0 + steps)))
+        assert_walk_yields_capped_box(args, [
             ((1, n), ref_norm(weights, ref_sub(
                 ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n))
             )))
@@ -397,7 +397,7 @@ class TestPowerGapKernel:
         zero = MatrixOperator.zero(space)
         assert t1 @ t2 != t2 @ t1
         assert t1 @ t1 == t1 and t2 @ t2 == t2  # every grid point is t1 t2
-        gaps = dict(self.walk(space, [t1.entries, t2.entries], [zero.entries] * 2, (1, 1), (2, 2)))
+        gaps = dict(walk_gaps([t1, t2], [zero, zero], (1, 1), (2, 2)))
         assert gaps == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2}
         assert (t1 @ t2).norm() == 2 and (t2 @ t1).norm() == 4
 
@@ -453,7 +453,7 @@ class TestRowWalkAtWorkloadScale:
     @staticmethod
     def assert_walks_agree(s_factors, t_factors, n0s, m_max):
         ref = matrix_grid_gaps(s_factors, t_factors, n0s, m_max)
-        assert_walk_settles(walk_gaps(s_factors, t_factors, n0s, m_max), ref)
+        assert_walk_yields_capped_box((s_factors, t_factors, n0s, m_max), ref)
         assert max(gap.denominator for _, gap in ref).bit_length() > 1000
 
     @pytest.mark.parametrize("seed", [5, 7_000_003, 31_000_017])
@@ -500,18 +500,9 @@ def conservative_case(draw):
 
 
 class TestConservativeRegime:
-    """Mass-conserving S, the regime where gaps reach exactly 1: the S row
-    settles no point, so the walk yields every gap, building the T rows
-    through its cursors, and a report names the first gap >= 1 of the
-    matrix walk."""
-
-    @staticmethod
-    def walk_args(case):
-        """``(S factors, T factors, n0s, m_max)`` of a case built from rows."""
-        weights, s_rows, t_rows, n0s, m_max = case
-        space = MeasureSpace(weights)
-        ops = ([MatrixOperator(space, r) for r in rows] for rows in (s_rows, t_rows))
-        return (*ops, n0s, m_max)
+    """Mass-conserving S, the regime where gaps reach exactly 1: no axis
+    leaks, so the walk yields the gap at every point of the box, and a
+    report names the first gap >= 1 of the matrix walk."""
 
     @staticmethod
     def report(args):
@@ -522,7 +513,7 @@ class TestConservativeRegime:
     @example(FALSIFIED_CONSERVATIVE[0])
     @example(FALSIFIED_CONSERVATIVE[1])
     def test_reports_match_the_matrix_walk(self, case):
-        args = self.walk_args(case)
+        args = walk_args(case)
         ref = matrix_grid_gaps(*args)
         assert walk_gaps(*args) == ref
         report = self.report(args)
@@ -538,7 +529,7 @@ class TestConservativeRegime:
         (FALSIFIED_CONSERVATIVE[1], Fraction(7, 8), ((1, 2, 1), 1)),
     ])
     def test_examples_fail_at_their_first_unit_gap(self, case, base, first_failure):
-        report = self.report(self.walk_args(case))
+        report = self.report(walk_args(case))
         assert report.values == (("base gap norm", base),)
         assert report.verdict is Verdict.FALSIFIED
         assert (report.failure_point, report.failure_norm) == first_failure
@@ -584,13 +575,22 @@ LEAKS_AT = {
     2: ((Fraction(1), Fraction(2)), [((HALF, 0), (QUARTER, QUARTER))], [((0, 0), (QUARTER, QUARTER))], (1,), (4,)),
     3: ((Fraction(1),) * 3, [SHIFT, SHIFT], [tuple(tuple(x * HALF for x in row) for row in SHIFT)] * 2, (1, 1), (4, 4)),
 }
+# On weights (1, 2, 3, 5), S1 = diag(1, 1/2, 1/2, 1/2) keeps the full mass of
+# column 0 only and S2 = diag(1/2, 1, 1/2, 1/2) of column 1 only, and T_i is
+# S_i / 2: no axis leaks, yet every product S1^a S2^b leaks from every column.
+MIXED_S = [
+    ((1, 0, 0, 0), (0, HALF, 0, 0), (0, 0, HALF, 0), (0, 0, 0, HALF)),
+    ((HALF, 0, 0, 0), (0, 1, 0, 0), (0, 0, HALF, 0), (0, 0, 0, HALF)),
+]
+MIXED_T = [tuple(tuple(x * HALF for x in row) for row in s) for s in MIXED_S]
+MIXED = ((Fraction(1), Fraction(2), Fraction(3), Fraction(5)), MIXED_S, MIXED_T, (1, 1), (6, 6))
 
 
 class TestLeakDepth:
     """Each axis of the walk stops at its S factor's leak depth N_i minus one:
-    past it ``Zl(S_i^(n_i))`` is empty, so no column of the product keeps its
-    full mass and the S row settles the point. Every other check of the walk
-    still runs."""
+    past it ``Zl(S_i^(n_i))`` is empty, so every column of the product leaks
+    mass and the gap is below 1. Every other check of the walk still runs,
+    and the walk steps both rows at every point below the cap."""
 
     @settings(max_examples=60)
     @given(st.one_of(conservative_case(), leaking_case(), gallery_case()))
@@ -612,14 +612,30 @@ class TestLeakDepth:
     @example(LEAKS_AT[2])
     @example(LEAKS_AT[3])
     def test_capped_walk_yields_every_point_the_s_row_leaves_open(self, case):
-        """The yields settle like the matrix walk, and past the base point they
-        are exactly the points where some column of the S product keeps its
-        full mass, so the S product has norm 1."""
-        args = TestConservativeRegime.walk_args(case)
-        got, ref = walk_gaps(*args), matrix_grid_gaps(*args)
-        assert_walk_settles(got, ref)
+        """Past the base point the walk yields every point of the box below
+        the leak depths, each with the matrix walk's gap; among them is every
+        point whose S product keeps some column's full mass, and so has norm 1."""
+        args = walk_args(case)
+        got = assert_walk_yields_capped_box(args, matrix_grid_gaps(*args))
         s_products = matrix_grid_gaps(args[0], [MatrixOperator.zero(args[0][0].space)] * len(args[0]), *args[2:])
-        assert [p for p, _ in got[1:]] == [p for p, norm in s_products[1:] if norm >= 1]
+        assert {p for p, norm in s_products[1:] if norm >= 1} <= {p for p, _ in got}
+
+    def test_a_product_that_leaks_though_no_axis_does_is_walked_in_full(self, monkeypatch):
+        """The mixed regime: no axis is capped, so every point of the box is
+        yielded with the matrix walk's gap, each below 1, and ``_row_gap``,
+        whose negative-difference check is the walk's consistency check,
+        runs once at every point past the base point."""
+        args = walk_args(MIXED)
+        assert leak_depths(*args[:2]) == [None, None]
+        calls = []
+        row_gap = dominion.theorems._row_gap
+        monkeypatch.setattr(dominion.theorems, "_row_gap", lambda *a: calls.append(a) or row_gap(*a))
+        got = walk_gaps(*args)
+        assert got == matrix_grid_gaps(*args)
+        assert len(got) == 36 and max(gap for _, gap in got) < 1
+        assert len(calls) == 35
+        family = CommutingFamily(tuple(DominatedPair(s, t) for s, t in zip(*args[:2])), (1, 1))
+        assert check_family_grid(family, (6, 6)).verdict is Verdict.VERIFIED
 
     def test_gallery_family_leaks_by_its_second_power(self):
         pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
@@ -637,8 +653,7 @@ class TestLeakDepth:
         assert walk_gaps([s], [zero], (1,), (4,)) == [((n,), 2**n) for n in range(1, 5)]
         args = [s, half], [zero, zero], (1, 1), (3, 3)
         assert leak_depths(*args[:2]) == [None, None]
-        got, ref = walk_gaps(*args), matrix_grid_gaps(*args)
-        assert_walk_settles(got, ref)
+        got = assert_walk_yields_capped_box(args, matrix_grid_gaps(*args))
         assert [p for p, gap in got if gap >= 1] == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
     @pytest.mark.parametrize("n0", [1, 2])

@@ -374,12 +374,9 @@ class MatrixOperator:
     def compose(self, other: MatrixOperator) -> MatrixOperator:
         """Product self . other, i.e. apply ``other`` first."""
         self._require_same_space(other)
-        cols = tuple(zip(*other.num))
-        num = tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in cols)
-            for row in self.num
+        return MatrixOperator._from_numerators(
+            self.space, _product(self.num, other.num), self.den * other.den
         )
-        return MatrixOperator._from_numerators(self.space, num, self.den * other.den)
 
     def __matmul__(self, other: MatrixOperator | L1Vector):
         if isinstance(other, L1Vector):
@@ -432,8 +429,10 @@ class MatrixOperator:
         return all(a >= b for ra, rb in zip(na, nb) for a, b in zip(ra, rb))
 
     def commutes_with(self, other: MatrixOperator) -> bool:
+        """True iff ``self @ other == other @ self``. Both products lie over
+        the same denominator, so their unreduced numerators are compared."""
         self._require_same_space(other)
-        return self @ other == other @ self
+        return _product(self.num, other.num) == _product(other.num, self.num)
 
     def norm(self) -> Fraction:
         """Exact induced L1 operator norm.
@@ -455,7 +454,10 @@ class MatrixOperator:
         return _column_norm(self.space._integer_weights, zip(*diff), den)
 
     def is_contraction(self) -> bool:
-        return self.norm() <= 1
+        """``norm() <= 1``: each integer-weighted column sum is at most ``w_j * den``."""
+        w, den = self.space._integer_weights, self.den
+        sums = (sum(map(operator.mul, w, map(abs, col))) for col in zip(*self.num))
+        return all(col_sum <= w_j * den for col_sum, w_j in zip(sums, w))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -474,6 +476,12 @@ def _column_norm(weights: tuple[int, ...], columns, den: int) -> Fraction:
         if col_sum * best_weight > best_sum * w_j:
             best_sum, best_weight = col_sum, w_j
     return Fraction(best_sum, best_weight * den)
+
+
+def _product(a: Numerators, b: Numerators) -> Numerators:
+    """Numerators of the matrix product ``a b``, unreduced."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def _scaled(num: Numerators, factor: int) -> Numerators:

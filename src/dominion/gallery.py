@@ -4,18 +4,20 @@ The fixed constructions live on two-point spaces and come with closed-form
 norms, so every exact computation in the engine can be validated against a
 hand calculation. The random generators build hypothesis-satisfying inputs
 (dominated contraction pairs, commuting families) deterministically from an
-integer seed; denominators of freshly drawn rationals stay below the
+integer seed; denominators of freshly drawn rationals are at most the
 ``denom_cap`` argument (64 by default) so entries remain small over long
 power iterations.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .core import MatrixOperator, MeasureSpace, RationalLike, rat
+from .core import MatrixOperator, MeasureSpace, Numerators, RationalLike, _column_norm, _scaled, rat
 from .theorems import CommutingFamily, DominatedPair
 
 __all__ = [
@@ -186,20 +188,38 @@ def p_norm_gap_pair() -> PNormGapPair:
 
 
 # -- seeded random generators --------------------------------------------------
+# Each operator is drawn as integer numerators over one denominator, reduced
+# by one gcd; values and generator calls are those of a per-entry Fraction draw.
 
 
-def _seeded(seed: int, n: int, denom_cap: int | None) -> tuple[Random, int]:
-    """Check the point count ``n``; return the seed's generator and the cap
-    on drawn denominators (``denom_cap``, else ``DEFAULT_DENOMINATOR_CAP``)."""
+def _seeded(seed: int, n: int, denom_cap: int | None, least_cap: int = 2) -> tuple[Random, int]:
+    """Check the point count ``n`` and the cap; return the seed's generator
+    and the cap on drawn denominators (``denom_cap``, else
+    ``DEFAULT_DENOMINATOR_CAP``), which must be at least ``least_cap``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Random(seed), denom_cap if denom_cap is not None else DEFAULT_DENOMINATOR_CAP
+    cap = DEFAULT_DENOMINATOR_CAP if denom_cap is None else denom_cap
+    if cap < least_cap:
+        raise ValueError(f"denom_cap must be >= {least_cap}, got {cap}")
+    return Random(seed), cap
+
+
+def _random_pair(rng: Random, cap: int) -> tuple[int, int]:
+    """``(p, q)`` with ``0 <= p <= q <= cap``, the rational p/q unreduced."""
+    den = rng.randint(1, cap)
+    return rng.randint(0, den), den
 
 
 def random_rational(rng: Random, cap: int) -> Fraction:
     """Uniform-ish rational in [0, 1] with denominator at most ``cap``."""
-    den = rng.randint(1, cap)
-    return Fraction(rng.randint(0, den), den)
+    return Fraction(*_random_pair(rng, cap))
+
+
+def _from_pairs(space: MeasureSpace, rows: list[list[tuple[int, int]]]) -> MatrixOperator:
+    """The operator whose entries p/q are given as rows of ``(p, q)`` pairs."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    num = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
+    return MatrixOperator._from_numerators(space, num, den)
 
 
 def random_space(rng: Random, n: int) -> MeasureSpace:
@@ -218,14 +238,17 @@ def _positive_contraction(
 ) -> MatrixOperator:
     """Column-substochastic positive matrix built exactly.
 
-    Column j gets integer masses c_i with sum at most a drawn denominator D;
-    the entry is mu_j * c_i / (D * mu_i), which makes the weighted column
-    sum equal to sum(c_i) / D <= 1 with no normalization step afterwards.
+    Column j gets integer masses c_i with sum at most a drawn denominator
+    D_j. With the integer weights ``w`` the entry is w_j c_i / (D_j w_i),
+    over lcm(D) lcm(w), which makes the weighted column sum equal to
+    sum(c_i) / D_j <= 1 with no normalization step afterwards.
     """
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     n = space.n
-    mu = space.weights
-    columns: list[list[Fraction]] = []
-    for j in range(n):
+    w = space._integer_weights
+    dens, columns = [], []
+    for _ in range(n):
         den = rng.randint(max(2, cap // 2), cap)
         masses = [
             rng.randint(0, den) if rng.random() < density else 0
@@ -234,9 +257,15 @@ def _positive_contraction(
         total = sum(masses)
         if total > den:
             masses = [c * den // total for c in masses]
-        columns.append([mu[j] * Fraction(c, den) / mu[i] for i, c in enumerate(masses)])
-    rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    return MatrixOperator(space, rows)
+        dens.append(den)
+        columns.append(masses)
+    den_lcm, w_lcm = math.lcm(*dens), math.lcm(*w)
+    col_scales = [w_j * (den_lcm // d) for w_j, d in zip(w, dens)]
+    num = tuple(
+        tuple(c[i] * s * (w_lcm // w_i) for c, s in zip(columns, col_scales))
+        for i, w_i in enumerate(w)
+    )
+    return MatrixOperator._from_numerators(space, num, den_lcm * w_lcm)
 
 
 def random_positive_contraction(
@@ -260,17 +289,14 @@ def random_signed_operator(
     space: MeasureSpace | None = None,
 ) -> MatrixOperator:
     """Deterministic operator with entries of both signs in [-1, 1]."""
-    rng, cap = _seeded(seed, n, denom_cap)
+    rng, cap = _seeded(seed, n, denom_cap, least_cap=1)
     if space is None:
         space = random_space(rng, n)
-    rows = tuple(
-        tuple(
-            (1 if rng.random() < 0.5 else -1) * random_rational(rng, cap)
-            for _ in range(n)
-        )
+    rows = [
+        [(1 if rng.random() < 0.5 else -1, *_random_pair(rng, cap)) for _ in range(n)]
         for _ in range(n)
-    )
-    return MatrixOperator(space, rows)
+    ]
+    return _from_pairs(space, [[(sign * p, q) for sign, p, q in row] for row in rows])
 
 
 def random_dominated_pair(
@@ -283,14 +309,10 @@ def random_dominated_pair(
     positive matrix and T damps S entrywise by random factors in [0, 1],
     which guarantees 0 <= T <= S and both contraction properties exactly.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
     rng, cap = _seeded(seed, n, denom_cap)
     space = random_space(rng, n)
     s = _positive_contraction(rng, space, density, cap)
-    damping = MatrixOperator(space, tuple(
-        tuple(random_rational(rng, cap) for _ in range(n)) for _ in range(n)
-    ))
+    damping = _from_pairs(space, [[_random_pair(rng, cap) for _ in range(n)] for _ in range(n)])
     return DominatedPair(s=s, t=s.hadamard(damping))
 
 
@@ -323,26 +345,31 @@ def random_commuting_family(
 
     pairs: list[DominatedPair] = []
     for _ in range(n_pairs):
-        coeffs = [random_rational(rng, cap) for _ in range(degree + 1)]
-        if all(c == 0 for c in coeffs):
-            coeffs[0] = Fraction(1, 2)
-        damped = [c * random_rational(rng, cap) for c in coeffs]
-        s_raw = _polynomial(base_powers, coeffs)
-        t_raw = _polynomial(base_powers, damped)
-        s_norm = s_raw.norm()
-        if s_norm > 1:
-            s_raw = s_raw / s_norm
-            t_raw = t_raw / s_norm
-        pairs.append(DominatedPair(s=s_raw, t=t_raw))
+        coeffs = [_random_pair(rng, cap) for _ in range(degree + 1)]
+        if not any(p for p, _ in coeffs):
+            coeffs[0] = (1, 2)
+        factors = [_random_pair(rng, cap) for _ in coeffs]
+        damped = [(p * fp, q * fq) for (p, q), (fp, fq) in zip(coeffs, factors)]
+        s_num, s_den = _polynomial(base_powers, coeffs)
+        norm = _column_norm(space._integer_weights, zip(*s_num), s_den)
+        p, q = max(norm, Fraction(1)).as_integer_ratio()  # S_i, T_i get divided by p / q
+        s, t = (
+            MatrixOperator._from_numerators(space, _scaled(num, q), den * p)
+            for num, den in ((s_num, s_den), _polynomial(base_powers, damped))
+        )
+        pairs.append(DominatedPair(s=s, t=t))
     return CommutingFamily(pairs=tuple(pairs), base_exponents=(1,) * n_pairs)
 
 
 def _polynomial(
-    base_powers: list[MatrixOperator],
-    coeffs: list[Fraction],
-) -> MatrixOperator:
-    acc = MatrixOperator.zero(base_powers[0].space)
-    for c, bp in zip(coeffs, base_powers):
-        if c != 0:
-            acc = acc + bp * c
-    return acc
+    base_powers: list[MatrixOperator], coeffs: list[tuple[int, int]]
+) -> tuple[Numerators, int]:
+    """Numerators and denominator of sum_k (p_k / q_k) B^k, unreduced, over
+    the lcm of the denominators of the terms with p_k != 0."""
+    den = math.lcm(*(q * bp.den for (p, q), bp in zip(coeffs, base_powers) if p))
+    factors = [p * den // (q * bp.den) for (p, q), bp in zip(coeffs, base_powers)]
+    num = tuple(
+        tuple(sum(map(operator.mul, factors, entries)) for entries in zip(*rows))
+        for rows in zip(*(bp.num for bp in base_powers))
+    )
+    return num, den

@@ -191,6 +191,8 @@ def meet_bound_instance(
     that permutation (taken on a uniform space, where permutations have
     norm one).
     """
+    if denom_cap is not None and denom_cap < 2:
+        raise ValueError(f"denom_cap must be >= 2, got {denom_cap}")
     rng = Random(seed)
     shape = seed % 3
     m = rng.randint(0, 2)
@@ -201,7 +203,7 @@ def meet_bound_instance(
         return z, t, m, k
     if shape == 1:
         space = MeasureSpace((1,) * n)
-        cap = denom_cap or 16
+        cap = 16 if denom_cap is None else denom_cap
         t = MatrixOperator.diagonal(space, tuple(random_rational(rng, cap) for _ in range(n)))
         z = MatrixOperator.diagonal(space, tuple(random_rational(rng, cap) for _ in range(n)))
         return z, t, m, k

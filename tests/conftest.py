@@ -14,7 +14,8 @@ the matrix walk that the row walk of ``_grid_gaps`` replaces;
 must build a T row at every point; and ``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
 column walk of ``zero_two_trace`` replaces. ``ref_decimal_str`` divides
 the two full ``Decimal`` conversions that ``decimal_str``'s one integer
-quotient replaces. The weighted
+quotient replaces. The ``ref_random_*`` generators are the ``Fraction``-entry
+construction that the gallery's integer-numerator draws replace. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
 floating point from a closed form on uniform two-point spaces.
@@ -238,6 +239,94 @@ def column_stochastic(weights: tuple[Fraction, ...], parts: list[list[int]]) -> 
         tuple(Fraction(parts[j][i], sum(parts[j])) * weights[j] / weights[i] for j in range(n))
         for i in range(n)
     )
+
+
+# -- Fraction-entry reference for the random generators ------------------------
+# The construction the generators used before they drew integer numerators:
+# every entry a reduced Fraction, combined by Fraction arithmetic. Each
+# function replays the generator's calls on ``Random(seed)`` in the same
+# order and returns the space weights and the operators' rows.
+
+
+def ref_random_rational(rng: Random, cap: int) -> Fraction:
+    den = rng.randint(1, cap)
+    return Fraction(rng.randint(0, den), den)
+
+
+def ref_random_space(rng: Random, n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n))
+
+
+def ref_positive_contraction(
+    rng: Random, weights: tuple[Fraction, ...], density: float, cap: int
+) -> Rows:
+    """Column j gets masses c_i summing to at most a drawn D_j; entry
+    (i, j) is mu_j * c_i / (D_j * mu_i)."""
+    n = len(weights)
+    columns = []
+    for j in range(n):
+        den = rng.randint(max(2, cap // 2), cap)
+        masses = [rng.randint(0, den) if rng.random() < density else 0 for _ in range(n)]
+        total = sum(masses)
+        if total > den:
+            masses = [c * den // total for c in masses]
+        columns.append([weights[j] * Fraction(c, den) / weights[i] for i, c in enumerate(masses)])
+    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+
+
+def ref_random_positive_contraction(seed: int, n: int, density: float, cap: int):
+    rng = Random(seed)
+    weights = ref_random_space(rng, n)
+    return weights, ref_positive_contraction(rng, weights, density, cap)
+
+
+def ref_random_signed_operator(seed: int, n: int, cap: int):
+    rng = Random(seed)
+    weights = ref_random_space(rng, n)
+    rows = tuple(
+        tuple((1 if rng.random() < 0.5 else -1) * ref_random_rational(rng, cap) for _ in range(n))
+        for _ in range(n)
+    )
+    return weights, rows
+
+
+def ref_random_dominated_pair(seed: int, n: int, density: float, cap: int):
+    """Weights and ``(S, T)`` rows, T the entrywise damping of S."""
+    rng = Random(seed)
+    weights = ref_random_space(rng, n)
+    s = ref_positive_contraction(rng, weights, density, cap)
+    damping = tuple(tuple(ref_random_rational(rng, cap) for _ in range(n)) for _ in range(n))
+    return weights, (s, _entrywise(operator.mul, s, damping))
+
+
+def ref_random_commuting_family(seed: int, n_pairs: int, n: int, degree: int, cap: int):
+    """Weights and the ``(S_i, T_i)`` rows: polynomials in one drawn base,
+    with damped coefficients for T_i, both divided by |S_i| when it
+    exceeds one."""
+    rng = Random(seed)
+    weights = ref_random_space(rng, n)
+    base = ref_positive_contraction(rng, weights, 1.0, cap)
+    base_powers = [ref_power(base, k) for k in range(degree + 1)]
+
+    def polynomial(coeffs: list[Fraction]) -> Rows:
+        acc = ((Fraction(0),) * n,) * n
+        for c, bp in zip(coeffs, base_powers):
+            acc = ref_add(acc, tuple(tuple(c * q for q in row) for row in bp))
+        return acc
+
+    pairs = []
+    for _ in range(n_pairs):
+        coeffs = [ref_random_rational(rng, cap) for _ in range(degree + 1)]
+        if all(c == 0 for c in coeffs):
+            coeffs[0] = Fraction(1, 2)
+        damped = [c * ref_random_rational(rng, cap) for c in coeffs]
+        s, t = polynomial(coeffs), polynomial(damped)
+        s_norm = ref_norm(weights, s)
+        if s_norm > 1:
+            s = tuple(tuple(q / s_norm for q in row) for row in s)
+            t = tuple(tuple(q / s_norm for q in row) for row in t)
+        pairs.append((s, t))
+    return weights, tuple(pairs)
 
 
 def ref_zero_two_trace(

@@ -5,13 +5,17 @@ validating ``__post_init__`` of two theorem classes, and module-level
 functions at every module that binds them; ``perfbench/workloads.py``
 imports builders by name. A refactor that deletes or moves one of these
 names fails here, in tier-1, and not only in the optional benchmark suite
-(``python -m pytest perfbench``).
+(``python -m pytest perfbench``). The benchmark's seed gate, the output
+digests of the first ops of each workload recorded in
+``perfbench/expected.json``, is replayed here too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ def _load(name: str):
 
 
 tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("name", [n for names in tracer.OPERATOR_METHODS.values() for n in names])
@@ -67,4 +72,17 @@ def test_tracer_installs_and_uninstalls():
 
 def test_workloads_import():
     # Its module-level imports name the package's builders and sweeps.
-    assert set(_load("workloads").WORKLOADS) == {"powers", "grid", "cli"}
+    assert set(workloads.WORKLOADS) == {"powers", "grid", "cli"}
+
+
+@pytest.mark.parametrize("name", ["powers", "grid", "cli"])
+def test_seed_gate_digests(name, tmp_path):
+    # The worker's hash of each op's checked output, op by op from the start.
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    pinned = expected["digests"][name]
+    workload = workloads.WORKLOADS[name](expected["seed"], str(tmp_path))
+    digests = []
+    for _ in pinned:
+        _, call, check = workload.next_op()
+        digests.append(hashlib.sha256(check(call())).hexdigest()[:16])
+    assert len(pinned) == 20 and digests == pinned

@@ -33,6 +33,7 @@ from conftest import (
     ref_add,
     ref_compose,
     ref_dual_row_sum,
+    ref_identity,
     ref_l2_compare,
     ref_meet,
     ref_norm,
@@ -485,6 +486,48 @@ class TestFractionOracle:
         assert (x == y) == (a == b)
         assert x.dominates(y) == all(p >= q for ra, rb in zip(a, b) for p, q in zip(ra, rb))
         assert (x + abs(y)).dominates(x)
+
+    @given(oracle_case())
+    def test_contraction_and_commutation_match_reference(self, case):
+        space, (a, b, c), _ = case
+        weights = space.weights
+        x, y = MatrixOperator(space, a), MatrixOperator(space, b)
+
+        def scaled(rows, factor):
+            return tuple(tuple(q * factor for q in row) for row in rows)
+
+        for rows in (a, b, c):
+            norm = ref_norm(weights, rows)
+            assert MatrixOperator(space, rows).is_contraction() == (norm <= 1)
+            if norm:  # norm exactly 1, then just above it
+                unit = scaled(rows, 1 / norm)
+                assert MatrixOperator(space, unit).is_contraction()
+                assert not MatrixOperator(space, scaled(unit, Fraction(1001, 1000))).is_contraction()
+        assert x.commutes_with(y) == (ref_compose(a, b) == ref_compose(b, a)) == y.commutes_with(x)
+        # A polynomial in x commutes with x; its denominator differs from x's.
+        p_rows = ref_add(
+            ref_add(scaled(ref_compose(a, a), Fraction(1, 3)), scaled(a, Fraction(2, 7))),
+            scaled(ref_identity(space.n), Fraction(5, 11)),
+        )
+        p = MatrixOperator(space, p_rows)
+        assert ref_compose(a, p_rows) == ref_compose(p_rows, a)
+        assert x.commutes_with(p) and p.commutes_with(x)
+        # Perturbing one entry of the polynomial keeps the denominators apart
+        # and commutes with x only when the reference says so.
+        q_rows = tuple(
+            tuple(q + Fraction(1, 13) if (i, j) == (0, space.n - 1) else q for j, q in enumerate(row))
+            for i, row in enumerate(p_rows)
+        )
+        assert x.commutes_with(MatrixOperator(space, q_rows)) == (
+            ref_compose(a, q_rows) == ref_compose(q_rows, a)
+        )
+
+    def test_commutation_of_fixed_pairs(self, gap_pair):
+        s, t = gap_pair.s, gap_pair.t
+        assert not s.commutes_with(t) and not t.commutes_with(s)
+        assert (s * Fraction(1, 3)).commutes_with(s * Fraction(2, 5))
+        assert (s @ s).commutes_with(s + MatrixOperator.identity(s.space) * Fraction(1, 7))
+        assert not (t * Fraction(3, 4)).commutes_with(s * Fraction(5, 9))
 
     @given(oracle_case())
     def test_equal_values_along_different_paths_hash_equal(self, case):

@@ -1,11 +1,13 @@
 """Gallery constructions: closed forms against the exact engine, and the
 deterministic random generators."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from dominion import (
+    CommutingFamily,
     DominatedPair,
     MatrixOperator,
     MeasureSpace,
@@ -18,8 +20,18 @@ from dominion import (
     shear_trio,
     unit_gap_pair,
 )
+from dominion.sweeps import meet_bound_instance
 
-from conftest import sigma_max_uniform_2x2
+from conftest import (
+    ref_random_commuting_family,
+    ref_random_dominated_pair,
+    ref_random_positive_contraction,
+    ref_random_signed_operator,
+    sigma_max_uniform_2x2,
+)
+
+# SHA-256 of every draw in ``TestDrawsPinned``.
+PINNED_DRAW_DIGEST = "aee6acb60db3b55c1e596a5951cf0a131157ff3072d156822ecf3d17e907b909"
 
 
 class TestShearTrio:
@@ -195,3 +207,103 @@ class TestGeneratorKnobs:
         op = random_positive_contraction(9, 3, space=space)
         assert op.space == space
         assert op.is_positive() and op.is_contraction()
+
+
+class TestGeneratorArguments:
+    """Bad caps and densities raise a ValueError naming the argument."""
+
+    @pytest.mark.parametrize("cap", [1, 0, -3])
+    def test_denominator_cap_below_two(self, cap):
+        with pytest.raises(ValueError, match="denom_cap"):
+            random_positive_contraction(0, 3, denom_cap=cap)
+        with pytest.raises(ValueError, match="denom_cap"):
+            random_dominated_pair(0, 3, denom_cap=cap)
+        with pytest.raises(ValueError, match="denom_cap"):
+            random_commuting_family(0, 2, 3, denom_cap=cap)
+
+    def test_signed_operator_cap(self):
+        # Its entries need no denominator of two or more.
+        op = random_signed_operator(5, 3, denom_cap=1)
+        assert op.den == 1 and all(abs(p) <= 1 for row in op.num for p in row)
+        with pytest.raises(ValueError, match="denom_cap"):
+            random_signed_operator(5, 3, denom_cap=0)
+
+    @pytest.mark.parametrize("density", [-1.0, -0.01, 1.01, float("nan")])
+    def test_density_outside_unit_interval(self, density):
+        with pytest.raises(ValueError, match="density"):
+            random_positive_contraction(1, 3, density=density)
+        with pytest.raises(ValueError, match="density"):
+            random_dominated_pair(1, 3, density=density)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])  # one seed per shape
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_meet_bound_cap_below_two(self, seed, cap):
+        with pytest.raises(ValueError, match="denom_cap"):
+            meet_bound_instance(seed, 3, denom_cap=cap)
+
+    def test_meet_bound_default_cap(self):
+        # Only None selects the default: 16 on the diagonal shape, the
+        # generator's 64 on the other two.
+        assert meet_bound_instance(4, 3) == meet_bound_instance(4, 3, denom_cap=16)
+        for seed in (3, 5):
+            assert meet_bound_instance(seed, 3) == meet_bound_instance(seed, 3, denom_cap=64)
+
+
+def _draw_key(draw):
+    """Exact integer content of a draw: every operator's space weights,
+    numerators and denominator, nested as the draw nests them."""
+    if isinstance(draw, MatrixOperator):
+        weights = tuple((w.numerator, w.denominator) for w in draw.space.weights)
+        return weights, draw.num, draw.den
+    if isinstance(draw, DominatedPair):
+        return _draw_key(draw.s), _draw_key(draw.t)
+    if isinstance(draw, CommutingFamily):
+        return tuple(map(_draw_key, draw.pairs)), draw.base_exponents
+    if isinstance(draw, tuple):
+        return tuple(map(_draw_key, draw))
+    return draw
+
+
+PIN_SEEDS = range(25)
+
+
+def _pinned_draws():
+    for n in (1, 2, 3, 4):
+        for cap in (64, 5):
+            for seed in PIN_SEEDS:
+                for density in (1.0, 0.6):
+                    yield random_positive_contraction(seed, n, density, denom_cap=cap)
+                    yield random_dominated_pair(seed, n, density, denom_cap=cap)
+                yield random_signed_operator(seed, n, denom_cap=cap)
+                yield random_commuting_family(seed, 3, n, denom_cap=cap)
+                yield meet_bound_instance(seed, n, denom_cap=cap)
+
+
+class TestDrawsPinned:
+    """Every draw, exactly, over fixed seeds, sizes, densities and caps.
+    The digest was recorded on the ``Fraction``-entry construction that
+    the integer-numerator draws replace; it must never change."""
+
+    def test_draw_digest(self):
+        text = repr([_draw_key(draw) for draw in _pinned_draws()])
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRAW_DIGEST
+
+    @pytest.mark.parametrize("n, cap", [(1, 64), (2, 5), (3, 64), (4, 64), (4, 5)])
+    def test_draws_equal_fraction_reference(self, n, cap):
+        def same(weights, rows, op):
+            return op.space.weights == weights and op.entries == rows
+
+        for seed in range(60):
+            for density in (1.0, 0.6):
+                weights, rows = ref_random_positive_contraction(seed, n, density, cap)
+                assert same(weights, rows, random_positive_contraction(seed, n, density, denom_cap=cap))
+                weights, (s, t) = ref_random_dominated_pair(seed, n, density, cap)
+                pair = random_dominated_pair(seed, n, density, denom_cap=cap)
+                assert same(weights, s, pair.s) and same(weights, t, pair.t)
+            weights, rows = ref_random_signed_operator(seed, n, cap)
+            assert same(weights, rows, random_signed_operator(seed, n, denom_cap=cap))
+            weights, pairs = ref_random_commuting_family(seed, 2, n, 2, cap)
+            family = random_commuting_family(seed, 2, n, denom_cap=cap)
+            assert len(family.pairs) == len(pairs)
+            for (s, t), pair in zip(pairs, family.pairs):
+                assert same(weights, s, pair.s) and same(weights, t, pair.t)

@@ -424,9 +424,11 @@ class MatrixOperator:
         return all(p >= 0 for row in self.num for p in row)
 
     def dominates(self, other: MatrixOperator) -> bool:
-        """True iff ``self - other`` is a positive operator."""
-        na, nb, _ = self._aligned(other)
-        return all(a >= b for ra, rb in zip(na, nb) for a, b in zip(ra, rb))
+        """True iff ``self - other`` is a positive operator, decided by
+        cross-multiplying each pair of entries by the other's denominator."""
+        self._require_same_space(other)
+        da, db = self.den, other.den
+        return all(a * db >= b * da for ra, rb in zip(self.num, other.num) for a, b in zip(ra, rb))
 
     def commutes_with(self, other: MatrixOperator) -> bool:
         """True iff ``self @ other == other @ self``. Both products lie over

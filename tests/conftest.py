@@ -9,12 +9,13 @@ functions are a per-entry ``Fraction`` reference for the integer kernel of
 dual side instead of the column sums, and ``ref_certificate_scan`` is the
 linear walk that the galloping certificate search replaces.
 ``matrix_grid_gaps`` measures power gaps on ``MatrixOperator`` products,
-the matrix walk that the row walk of ``_grid_gaps`` replaces;
+the matrix walk that the support walk of ``_grid_gaps`` replaces: past the
+base point the walk must yield exactly its points of gap 1.
 ``column_stochastic`` builds the mass-conserving factors on which that walk
-must build a T row at every point; and ``ref_zero_two_trace`` is the ``t @ current`` operator walk that the integer
-column walk of ``zero_two_trace`` replaces. ``ref_decimal_str`` divides
-the two full ``Decimal`` conversions that ``decimal_str``'s one integer
-quotient replaces. The ``ref_random_*`` generators are the ``Fraction``-entry
+never stops an axis early; and ``ref_zero_two_trace`` is the ``t @ current``
+operator walk that the integer column walk of ``zero_two_trace`` replaces.
+``ref_decimal_str`` divides the two full ``Decimal`` conversions that
+``decimal_str``'s one integer quotient replaces. The ``ref_random_*`` generators are the ``Fraction``-entry
 construction that the gallery's integer-numerator draws replace. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
@@ -210,7 +211,7 @@ def matrix_grid_gaps(
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Gap norm at every grid point in ``itertools.product`` order, each
     product composed from a table of ``MatrixOperator`` powers and measured
-    with ``distance``: the matrix walk the row walk replaces, with no
+    with ``distance``: the matrix walk the support walk replaces, with no
     positivity assumed, at a cost that allows workload-scale grids."""
 
     def powers(op: MatrixOperator, top: int) -> list[MatrixOperator]:

@@ -2,7 +2,7 @@
 traces, decomposition witnesses, and the certificate search."""
 
 import itertools
-import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -36,12 +36,10 @@ from dominion.gallery import random_commuting_family, random_dominated_pair, ran
 from dominion.theorems import (
     HypothesisCheck,
     ZeroTwoTrace,
-    _factor_columns,
-    _full_mass_chain,
     _grid_gaps,
-    _leak_depths,
     _power_gap_report,
-    _row_gap,
+    _support_pair,
+    _support_step,
 )
 
 from conftest import (
@@ -65,6 +63,19 @@ def identity2(two_point):
 @pytest.fixture
 def flip(two_point):
     return MatrixOperator.permutation(two_point, (1, 0))
+
+
+@pytest.fixture
+def state_steps(monkeypatch):
+    """The factor pairs of the power-gap walk's state steps, recorded."""
+    pairs = []
+
+    def recorded(state, pair):
+        pairs.append(pair)
+        return _support_step(state, pair)
+
+    monkeypatch.setattr(dominion.theorems, "_support_step", recorded)
+    return pairs
 
 
 class TestDominatedPair:
@@ -211,8 +222,8 @@ FALSIFIED_CONSERVATIVE = (
 
 class TestExponentBox:
     """``_grid_gaps`` alone checks the exponent box, before any gap is
-    reported, and walks it with one S-row and one T-row step per prefix
-    point of the box below the leak depths."""
+    reported, and walks it with one step of the state's two rows, ``Zl`` and
+    ``Zc``, per prefix point of the box it reaches before ``Zl`` empties."""
 
     def test_every_power_gap_checker_shares_the_grid_cap(self, gap_pair, identity2, monkeypatch):
         monkeypatch.setattr(dominion.theorems, "GRID_CAP", 10)
@@ -232,17 +243,20 @@ class TestExponentBox:
             next(_grid_gaps(s_factors, t_factors, n0s, [2] * 3))
 
     @pytest.mark.parametrize("family, n0s, m_max, steps", [
-        ("random", (1, 1, 1), (30, 5, 5), 0),
-        ("random", (2, 3, 1), (4, 5, 3), 0),
+        ("random", (1, 1, 1), (30, 5, 5), 3),
+        ("random", (2, 3, 1), (4, 5, 3), 1),
         ("conservative", (1, 1, 1), (30, 5, 5), 30 + 30 * 5 + 30 * 5 * 5),
         ("conservative", (2, 3, 1), (4, 5, 3), 3 + 3 * 3 + 3 * 3 * 3),
     ], ids=["random", "random-offset", "conservative", "conservative-offset"])
-    def test_walk_steps_both_rows_per_capped_point(self, monkeypatch, family, n0s, m_max, steps):
-        """Each S factor of the random family has leak depth 2, so no point
-        past the base point of either box is left to walk, and no row is
-        stepped. Every column of the conservative family's S products keeps
-        its full mass, so no axis is capped, and each prefix point of the box
-        takes one S step and one T step."""
+    def test_walk_steps_both_rows_per_capped_point(self, state_steps, family, n0s, m_max, steps):
+        """Each S factor of the random family keeps the full mass of one
+        column, but ``S_1 S_2`` and every ``S_i^2`` keep none: from (1, 1, 1)
+        the walk steps the prefixes (1), (1, 1) and (2), and stops at each;
+        from (2, 3, 1) it steps (2) only. No point past the base point has
+        gap 1. Every column of the conservative family's S products keeps
+        its full mass, so the walk steps every prefix point of the box, and
+        the zero middle column of ``T_3``, the last factor of every T
+        product, gives every point gap 1."""
         if family == "random":
             pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
             s_factors, t_factors = [p.s for p in pairs], [p.t for p in pairs]
@@ -250,24 +264,10 @@ class TestExponentBox:
             space = MeasureSpace((1, 1, 1))
             s_factors = [MatrixOperator(space, rows) for rows in (S1, S2, S3)]
             t_factors = [MatrixOperator(space, rows) for rows in (T1, T2, T3)]
-        s_columns, kinds = [], []
-        factor_columns, step = dominion.theorems._factor_columns, dominion.theorems._step
-
-        def recorded(s, t, den):
-            columns = factor_columns(s, t, den)
-            s_columns.append(columns[0])
-            return columns
-
-        def counted(row, columns):
-            kinds.append("S" if any(columns is c for c in s_columns) else "T")
-            return step(row, columns)
-
-        monkeypatch.setattr(dominion.theorems, "_factor_columns", recorded)
-        monkeypatch.setattr(dominion.theorems, "_step", counted)
         points = [p for p, _, _ in _grid_gaps(s_factors, t_factors, n0s, m_max)]
         box = list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
-        assert points == (box if steps else box[:1])
-        assert (kinds.count("S"), kinds.count("T")) == (steps, steps)
+        assert points == (box if family == "conservative" else box[:1])
+        assert len(state_steps) == steps
 
 
 def _entries(low):
@@ -278,7 +278,7 @@ def _entries(low):
 
 
 signed_entries = _entries(-2)
-positive_entries = _entries(0)  # up to 2, so that some gaps reach 1 or more
+positive_entries = _entries(0)  # up to 2: ``contracted`` scales a grid case's S to norm 1
 shares = st.one_of(
     st.sampled_from((Fraction(0), Fraction(1))),
     st.fractions(min_value=0, max_value=1, max_denominator=6),
@@ -297,14 +297,22 @@ def _rows(draw, n, entries):
     return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
 
 
+def contracted(weights, rows):
+    """``rows`` scaled to norm 1 unless zero: a positive contraction whose
+    widest column keeps its full mass."""
+    norm = ref_norm(weights, rows)
+    return rows if norm == 0 else tuple(tuple(x / norm for x in row) for row in rows)
+
+
 @st.composite
 def grid_case(draw, min_axes=1, min_n=1):
-    """``min_axes`` to three axes of (S_i, T_i) with ``0 <= T_i <= S_i`` on a
-    ``min_n`` to 3 point space, with base exponents up to 3 and up to three
-    exponents per axis. Nothing makes the factors commute."""
+    """``min_axes`` to three axes of (S_i, T_i) with ``0 <= T_i <= S_i`` and
+    S_i a contraction on a ``min_n`` to 3 point space, with base exponents
+    up to 3 and up to three exponents per axis. Nothing makes the factors
+    commute."""
     weights = _space_weights(draw, min_n)
     axes = draw(st.integers(min_value=min_axes, max_value=3))
-    s_rows = [_rows(draw, len(weights), positive_entries) for _ in range(axes)]
+    s_rows = [contracted(weights, _rows(draw, len(weights), positive_entries)) for _ in range(axes)]
     t_rows = [
         tuple(tuple(x * draw(shares) for x in row) for row in s) for s in s_rows
     ]
@@ -327,11 +335,6 @@ def undominated_case(draw):
     return weights, a, x, b, y
 
 
-def walk_gaps(s_factors, t_factors, n0s, m_max):
-    """``_grid_gaps`` with each ``(point, num, den)`` read as ``(point, num / den)``."""
-    return [(p, Fraction(num, den)) for p, num, den in _grid_gaps(s_factors, t_factors, n0s, m_max)]
-
-
 def walk_args(case):
     """``(S factors, T factors, n0s, m_max)`` of a case built from rows."""
     weights, s_rows, t_rows, n0s, m_max = case
@@ -340,31 +343,31 @@ def walk_args(case):
     return (*ops, n0s, m_max)
 
 
-def assert_walk_yields_capped_box(args, ref):
+def assert_walk_yields_unit_gaps(args, ref):
     """``_grid_gaps(*args)`` against ``ref``, the exact gap at every point of
-    the box in lexicographic order: it yields the base point, then every
-    other point of the box below each S factor's leak depth, in order, each
-    with its exact gap (which pins the factor order of its products); every
-    gap >= 1 is among them, so the first failure is the first one yielded.
-    Returns the yields."""
-    s_factors, t_factors, n0s, m_max = args
-    tops = [m if n is None else min(m, n - 1) for m, n in zip(m_max, leak_depths(s_factors, t_factors))]
-    box = set(itertools.product(*map(range, n0s, (top + 1 for top in tops))))
-    got = walk_gaps(*args)
-    assert got == ref[:1] + [(p, gap) for p, gap in ref[1:] if p in box]
-    assert {p for p, gap in ref if gap >= 1} <= {p for p, _ in got}
+    the box in lexicographic order, on contractions S_i with ``0 <= T_i <=
+    S_i``. By the support lemma of ``_grid_gaps`` every gap past the base
+    point is at most 1, and the walk yields the base point with its exact
+    gap, then exactly the later points of gap 1, in order, each as
+    ``(point, 1, 1)``: the first failure is the first one yielded. Returns
+    the yields."""
+    got = list(_grid_gaps(*args))
+    (point, num, den), *rest = got
+    assert (point, Fraction(num, den)) == ref[0]
+    assert all(gap <= 1 for _, gap in ref[1:])
+    assert rest == [(p, 1, 1) for p, gap in ref[1:] if gap >= 1]
     return got
 
 
 class TestPowerGapKernel:
-    """The row walk against products built from scratch in the Fraction
-    reference, on factors with ``0 <= T_i <= S_i`` that need not commute.
-    Entries reach 2, so some S products keep or gain a column's full mass,
-    and the walk yields every point of the box below the leak depths."""
+    """The support walk against products built from scratch in the Fraction
+    reference, on contractions with ``0 <= T_i <= S_i`` that need not
+    commute. Each S scaled to norm 1 keeps some column's full mass, so some
+    gaps reach 1."""
 
     @staticmethod
     def assert_grid_matches(case):
-        assert_walk_yields_capped_box(walk_args(case), ref_grid_gaps(*case))
+        assert_walk_yields_unit_gaps(walk_args(case), ref_grid_gaps(*case))
 
     @settings(max_examples=40)
     @given(grid_case())
@@ -383,7 +386,7 @@ class TestPowerGapKernel:
         |A X^n - B Y^n| for 0 <= B <= A and 0 <= Y <= X, not commuting."""
         weights, (a, x, *_), (b, y, *_), (_, n0, *_), _ = case
         args = walk_args((weights, [a, x], [b, y], (1, n0), (1, n0 + steps)))
-        assert_walk_yields_capped_box(args, [
+        assert_walk_yields_unit_gaps(args, [
             ((1, n), ref_norm(weights, ref_sub(
                 ref_compose(a, ref_power(x, n)), ref_compose(b, ref_power(y, n))
             )))
@@ -391,15 +394,18 @@ class TestPowerGapKernel:
         ])
 
     def test_grid_keeps_axis_order_of_non_commuting_factors(self):
-        space = MeasureSpace((1, 3))
-        t1 = MatrixOperator(space, ((1, 1), (0, 0)))
-        t2 = MatrixOperator(space, ((1, 0), (1, 0)))
+        """``s1`` moves all mass to the first point and ``s2`` halves it
+        there: ``s1^a s2^b = s1 s2^b`` keeps the second column's full mass,
+        while ``s2^a s1^b`` leaks from both columns."""
+        space = MeasureSpace((1, 1))
+        s1 = MatrixOperator(space, ((1, 1), (0, 0)))
+        s2 = MatrixOperator(space, ((HALF, 0), (0, 1)))
         zero = MatrixOperator.zero(space)
-        assert t1 @ t2 != t2 @ t1
-        assert t1 @ t1 == t1 and t2 @ t2 == t2  # every grid point is t1 t2
-        gaps = dict(walk_gaps([t1, t2], [zero, zero], (1, 1), (2, 2)))
-        assert gaps == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2}
-        assert (t1 @ t2).norm() == 2 and (t2 @ t1).norm() == 4
+        assert s1 @ s2 != s2 @ s1 and s1 @ s1 == s1
+        assert (s1 @ s2).norm() == 1 and (s2 @ s1).norm() == HALF
+        box = list(itertools.product((1, 2), repeat=2))
+        assert list(_grid_gaps([s1, s2], [zero, zero], (1, 1), (2, 2))) == [(p, 1, 1) for p in box]
+        assert list(_grid_gaps([s2, s1], [zero, zero], (1, 1), (2, 2))) == [((1, 1), 1, 2)]
 
     @pytest.mark.parametrize("t_rows", [((1, -1), (0, 0)), ((2, 0), (0, 0))], ids=["signed", "above-s"])
     def test_walk_rejects_factors_outside_zero_to_s(self, t_rows):
@@ -410,10 +416,17 @@ class TestPowerGapKernel:
         with pytest.raises(ValueError, match="factor pair 2 breaks 0 <= T <= S"):
             next(gaps)
 
-    def test_a_negative_row_difference_is_an_internal_inconsistency(self):
-        assert _row_gap((1, 2), [3, 4], [1, 2], 5) == (2, 5)
-        with pytest.raises(InternalConsistencyError):
-            _row_gap((1, 2), [3, 1], [1, 2], 5)
+    def test_a_misjudged_point_is_an_internal_inconsistency(self, monkeypatch):
+        """Each yielded point is measured again with ``distance``: a gap other
+        than 1 there means the support walk is wrong."""
+        args = walk_args(FALSIFIED_CONSERVATIVE[0])
+        assert list(_grid_gaps(*args))[1:3] == [((2, 1), 1, 1), ((2, 2), 1, 1)]
+        gaps = _grid_gaps(*args)
+        next(gaps)
+        distance = MatrixOperator.distance
+        monkeypatch.setattr(MatrixOperator, "distance", lambda a, b: distance(a, b) * HALF)
+        with pytest.raises(InternalConsistencyError, match=r"at \(2, 1\)"):
+            next(gaps)
 
     @settings(max_examples=30)
     @given(undominated_case(), st.integers(min_value=1, max_value=3))
@@ -445,15 +458,16 @@ class TestPowerGapKernel:
 
 
 class TestRowWalkAtWorkloadScale:
-    """The row walk against products of ``MatrixOperator`` powers measured
-    with ``distance``, on the benchmark's shapes: criterion 03's dense
-    4-point pairs over 50 powers and criterion 04's (30, 5, 5) grids, whose
-    gaps carry thousand-bit denominators."""
+    """The walk of the two support rows ``(Zl, Zc)`` against products of
+    ``MatrixOperator`` powers measured with ``distance``, on the benchmark's
+    shapes: criterion 03's dense 4-point pairs over 50 powers and criterion
+    04's (30, 5, 5) grids, whose gaps carry thousand-bit denominators, and
+    on a mass-conserving pair at the grid cap."""
 
     @staticmethod
     def assert_walks_agree(s_factors, t_factors, n0s, m_max):
         ref = matrix_grid_gaps(s_factors, t_factors, n0s, m_max)
-        assert_walk_yields_capped_box((s_factors, t_factors, n0s, m_max), ref)
+        assert_walk_yields_unit_gaps((s_factors, t_factors, n0s, m_max), ref)
         assert max(gap.denominator for _, gap in ref).bit_length() > 1000
 
     @pytest.mark.parametrize("seed", [5, 7_000_003, 31_000_017])
@@ -468,18 +482,32 @@ class TestRowWalkAtWorkloadScale:
         t_factors = [pair.t for pair in family.pairs]
         self.assert_walks_agree(s_factors, t_factors, family.base_exponents, (30, 5, 5))
 
-    def test_conservative_pair_builds_every_t_row(self):
+    def test_conservative_pair_builds_every_t_row(self, state_steps):
         """A dense 4-point S that keeps every column's full mass, and T that
-        zeroes some of its entries: every point is yielded, exactly."""
+        zeroes some of its entries: Zl never empties, so the walk steps the
+        T side's Zc row with the S side's Zl row at every point."""
         rng = Random(12)
         space = random_space(rng, 4)
         parts = [[rng.randint(1, 999) for _ in range(4)] for _ in range(4)]
         s_rows = column_stochastic(space.weights, parts)
         t_rows = tuple(tuple(x if rng.random() < 0.6 else 0 for x in row) for row in s_rows)
         s, t = MatrixOperator(space, s_rows), MatrixOperator(space, t_rows)
-        got = walk_gaps([s], [t], (1,), (50,))
-        assert got == matrix_grid_gaps([s], [t], (1,), (50,))
-        assert max(gap.denominator for _, gap in got).bit_length() > 1000
+        self.assert_walks_agree([s], [t], (1,), (50,))
+        assert len(state_steps) == 50
+
+    def test_a_conservative_pair_verifies_at_the_grid_cap(self):
+        """A dense mass-conserving pair, whose exact powers gain bits at every
+        step: ``T = S / 2`` has no zero column, so no gap reaches 1, and the
+        walk decides all ``GRID_CAP`` powers on supports within the budget."""
+        space = MeasureSpace((1,) * 4)
+        rng = Random(3)
+        parts = [[rng.randint(1, 15) for _ in range(4)] for _ in range(4)]
+        s = MatrixOperator(space, column_stochastic(space.weights, parts))
+        identity = MatrixOperator.identity(space)
+        start = time.process_time()
+        report = check_damped_powers(identity, s, s / 2, 1, dominion.theorems.GRID_CAP)
+        assert report.verdict is Verdict.VERIFIED
+        assert time.process_time() - start < 5
 
 
 @st.composite
@@ -500,9 +528,9 @@ def conservative_case(draw):
 
 
 class TestConservativeRegime:
-    """Mass-conserving S, the regime where gaps reach exactly 1: no axis
-    leaks, so the walk yields the gap at every point of the box, and a
-    report names the first gap >= 1 of the matrix walk."""
+    """Mass-conserving S, the regime where gaps reach exactly 1: ``Zl`` never
+    empties, so the walk steps every point of the box and yields its points
+    of gap 1, and a report names the first gap >= 1 of the matrix walk."""
 
     @staticmethod
     def report(args):
@@ -515,7 +543,7 @@ class TestConservativeRegime:
     def test_reports_match_the_matrix_walk(self, case):
         args = walk_args(case)
         ref = matrix_grid_gaps(*args)
-        assert walk_gaps(*args) == ref
+        assert_walk_yields_unit_gaps(args, ref)
         report = self.report(args)
         if ref[0][1] >= 1:
             assert report.verdict is Verdict.HYPOTHESIS_UNMET
@@ -539,7 +567,7 @@ class TestConservativeRegime:
 def leaking_case(draw):
     """A ``conservative_case`` with some columns of each S_i, and the same
     columns of T_i, scaled by 1/2: those columns leak mass, the others keep
-    it, so the chains ``Zl(S_i^n)`` shrink to empty or stop at a nonempty set."""
+    it, so the sets ``Zl(S_i^n)`` shrink to empty or stop at a nonempty set."""
     weights, s_rows, t_rows, n0s, m_max = draw(conservative_case())
     scales = [[draw(st.sampled_from((1, 1, HALF))) for _ in weights] for _ in s_rows]
 
@@ -559,10 +587,18 @@ def gallery_case(draw):
     return (family.pairs[0].s.space.weights, *rows, family.base_exponents, m_max)
 
 
-def leak_depths(s_factors, t_factors):
-    """``_leak_depths`` on the step columns ``_grid_gaps`` builds."""
-    steps = [_factor_columns(s, t, math.lcm(s.den, t.den)) for s, t in zip(s_factors, t_factors)]
-    return _leak_depths(steps, s_factors[0].space._integer_weights)
+def bitset(indices):
+    return sum(1 << j for j in indices)
+
+
+def support_rows(s, t, n):
+    """The walk's states ``(Zl(S^k), Zc(T^k))`` for k = 1, ..., n, stepped
+    from the identity's ``(every column, {})`` by ``_support_step``."""
+    state, pair, states = (bitset(range(s.space.n)), 0), _support_pair(s, t), []
+    for _ in range(n):
+        state = _support_step(state, pair)
+        states.append(state)
+    return states
 
 
 # On weights (1, 2), S keeps the full mass of its first column only, and
@@ -577,7 +613,8 @@ LEAKS_AT = {
 }
 # On weights (1, 2, 3, 5), S1 = diag(1, 1/2, 1/2, 1/2) keeps the full mass of
 # column 0 only and S2 = diag(1/2, 1, 1/2, 1/2) of column 1 only, and T_i is
-# S_i / 2: no axis leaks, yet every product S1^a S2^b leaks from every column.
+# S_i / 2: no axis leaks, yet every product S1^a S2^b leaks from every column,
+# so the walk stops axis 2 at its first step for every a.
 MIXED_S = [
     ((1, 0, 0, 0), (0, HALF, 0, 0), (0, 0, HALF, 0), (0, 0, 0, HALF)),
     ((HALF, 0, 0, 0), (0, 1, 0, 0), (0, 0, HALF, 0), (0, 0, 0, HALF)),
@@ -587,80 +624,96 @@ MIXED = ((Fraction(1), Fraction(2), Fraction(3), Fraction(5)), MIXED_S, MIXED_T,
 
 
 class TestLeakDepth:
-    """Each axis of the walk stops at its S factor's leak depth N_i minus one:
-    past it ``Zl(S_i^(n_i))`` is empty, so every column of the product leaks
-    mass and the gap is below 1. Every other check of the walk still runs,
-    and the walk steps both rows at every point below the cap."""
+    """Each axis of the walk stops once ``Zl`` of the S product is empty,
+    which it then stays: every column of every later product leaks mass, so
+    every gap there is below 1. That covers an axis past its S factor's leak
+    depth, the first n with ``Zl(S_i^n)`` empty, and a product that leaks
+    though no axis does. Every other check of the walk still runs."""
 
     @settings(max_examples=60)
     @given(st.one_of(conservative_case(), leaking_case(), gallery_case()))
     @example(LEAKS_AT[2])
     @example(LEAKS_AT[3])
     def test_chain_is_the_full_mass_columns_of_each_power(self, case):
-        weights, s_rows, *_ = case
+        """The update rules against exact powers: ``Zl(S^n)``, the columns
+        whose full mass S^n keeps, and ``Zc(T^n)``, the zero columns of T^n."""
+        weights, s_rows, t_rows, *_ = case
         space = MeasureSpace(weights)
-        for rows in s_rows:
-            s = MatrixOperator(space, rows)
-            chain = _full_mass_chain(_factor_columns(s, s, s.den)[0], space._integer_weights, s.den)
-            for n, kept in zip(range(1, len(weights) + 3), chain):
-                power = ref_power(rows, n)
-                exact = {j for j, w_j in enumerate(weights) if sum(w * r[j] for w, r in zip(weights, power)) == w_j}
-                assert kept == exact
+        columns = range(len(weights))
+        for s, t in zip(s_rows, t_rows):
+            s_op, t_op = MatrixOperator(space, s), MatrixOperator(space, t)
+            for n, (kept, zeros) in enumerate(support_rows(s_op, t_op, len(weights) + 2), 1):
+                s_power, t_power = ref_power(s, n), ref_power(t, n)
+                masses = [sum(w * row[j] for w, row in zip(weights, s_power)) for j in columns]
+                assert kept == bitset(j for j in columns if masses[j] == weights[j])
+                assert zeros == bitset(j for j in columns if not any(row[j] for row in t_power))
 
     @settings(max_examples=60)
     @given(st.one_of(conservative_case(), leaking_case(), gallery_case()))
     @example(LEAKS_AT[2])
     @example(LEAKS_AT[3])
-    def test_capped_walk_yields_every_point_the_s_row_leaves_open(self, case):
-        """Past the base point the walk yields every point of the box below
-        the leak depths, each with the matrix walk's gap; among them is every
-        point whose S product keeps some column's full mass, and so has norm 1."""
+    @example(FALSIFIED_CONSERVATIVE[1])
+    def test_walk_yields_exactly_the_unit_gaps(self, case):
+        """The support lemma on contractions: the base yield is the matrix
+        walk's base gap, every later gap is at most 1, and the later yields
+        are exactly the points of gap 1."""
         args = walk_args(case)
-        got = assert_walk_yields_capped_box(args, matrix_grid_gaps(*args))
-        s_products = matrix_grid_gaps(args[0], [MatrixOperator.zero(args[0][0].space)] * len(args[0]), *args[2:])
-        assert {p for p, norm in s_products[1:] if norm >= 1} <= {p for p, _ in got}
+        assert_walk_yields_unit_gaps(args, matrix_grid_gaps(*args))
 
-    def test_a_product_that_leaks_though_no_axis_does_is_walked_in_full(self, monkeypatch):
-        """The mixed regime: no axis is capped, so every point of the box is
-        yielded with the matrix walk's gap, each below 1, and ``_row_gap``,
-        whose negative-difference check is the walk's consistency check,
-        runs once at every point past the base point."""
-        args = walk_args(MIXED)
-        assert leak_depths(*args[:2]) == [None, None]
-        calls = []
-        row_gap = dominion.theorems._row_gap
-        monkeypatch.setattr(dominion.theorems, "_row_gap", lambda *a: calls.append(a) or row_gap(*a))
-        got = walk_gaps(*args)
-        assert got == matrix_grid_gaps(*args)
-        assert len(got) == 36 and max(gap for _, gap in got) < 1
-        assert len(calls) == 35
-        family = CommutingFamily(tuple(DominatedPair(s, t) for s, t in zip(*args[:2])), (1, 1))
-        assert check_family_grid(family, (6, 6)).verdict is Verdict.VERIFIED
+    def test_a_product_that_leaks_though_no_axis_does_is_cut_short(self, state_steps):
+        """The mixed regime on a (100, 100) box: for every power of S1 the
+        walk steps axis 2 once, finds ``Zl`` empty and moves on, and the
+        verdict is the matrix walk's, whose gaps are all below 1."""
+        s_factors, t_factors, n0s, _ = walk_args(MIXED)
+        assert [support_rows(s, t, 4)[-1][0] for s, t in zip(s_factors, t_factors)] == [1, 2]
+        got = list(_grid_gaps(s_factors, t_factors, n0s, (100, 100)))
+        assert len(state_steps) == 200
+        ref = matrix_grid_gaps(s_factors, t_factors, n0s, (100, 100))
+        assert got == [((1, 1), ref[0][1].numerator, ref[0][1].denominator)]
+        assert max(gap for _, gap in ref) < 1
+        pairs = tuple(DominatedPair(s, t) for s, t in zip(s_factors, t_factors))
+        report = check_family_grid(CommutingFamily(pairs, (1, 1)), (100, 100))
+        assert report.verdict is Verdict.VERIFIED
 
     def test_gallery_family_leaks_by_its_second_power(self):
         pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
-        assert leak_depths([p.s for p in pairs], [p.t for p in pairs]) == [2, 2, 2]
+        for pair in pairs:
+            (first, _), (second, _) = support_rows(pair.s, pair.t, 2)
+            assert first and not second
 
-    def test_a_non_contraction_is_never_capped(self):
-        """``diag(2, 1/2)`` keeps the full mass of no column, yet its powers
-        have gap 2^n from 0; the contraction ``I/2`` beside it is not capped
-        either, as the product ``diag(2^a / 2^b, 1 / 2^(a + b))`` shows."""
+    def test_a_non_contraction_raises_after_the_base_gap(self):
+        """``diag(2, 1/2)`` has gap 2^n from 0: outside the support lemma, so
+        the walk measures the base gap and then refuses the factors, on any
+        axis."""
         space = MeasureSpace((1, 1))
         s = MatrixOperator(space, ((2, 0), (0, HALF)))
         half, zero = MatrixOperator.identity(space) / 2, MatrixOperator.zero(space)
-        assert leak_depths([s], [zero]) == [None]
-        assert leak_depths([half], [zero]) == [1]
-        assert walk_gaps([s], [zero], (1,), (4,)) == [((n,), 2**n) for n in range(1, 5)]
-        args = [s, half], [zero, zero], (1, 1), (3, 3)
-        assert leak_depths(*args[:2]) == [None, None]
-        got = assert_walk_yields_capped_box(args, matrix_grid_gaps(*args))
-        assert [p for p, gap in got if gap >= 1] == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+        for s_factors, base_gap in (([s], (2, 1)), ([half, s], (1, 1))):
+            axes = len(s_factors)
+            gaps = _grid_gaps(s_factors, [zero] * axes, [1] * axes, [3] * axes)
+            assert next(gaps)[1:] == base_gap
+            with pytest.raises(ValueError, match=f"factor pair {axes} breaks .* with S a contraction"):
+                next(gaps)
+
+    def test_checkers_report_the_refused_factors_as_unmet(self):
+        """The checkers' hypotheses imply the walk's guard, so they report
+        the factors it refuses as HYPOTHESIS_UNMET and never walk them."""
+        space = MeasureSpace((1, 1))
+        identity, zero = MatrixOperator.identity(space), MatrixOperator.zero(space)
+        non_contraction = MatrixOperator(space, ((2, 0), (0, HALF)))
+        for s, t, failed in (
+            (non_contraction, zero, "S contraction"),
+            (identity / 2, identity, "S dominates T"),
+        ):
+            report = check_damped_powers(identity, s, t, 1, 3)
+            assert report.verdict is Verdict.HYPOTHESIS_UNMET
+            assert failed in [h.name for h in report.failed_hypotheses()]
 
     @pytest.mark.parametrize("n0", [1, 2])
     def test_a_pair_outside_zero_to_s_raises_though_s_leaks(self, n0):
         space = MeasureSpace((1, 1))
         half, identity = MatrixOperator.identity(space) / 2, MatrixOperator.identity(space)
-        assert leak_depths([half], [half]) == [1]
+        assert _support_pair(half, half)[0] == 0
         gaps = _grid_gaps([half], [identity], (n0,), (3,))
         next(gaps)  # the base gap is measured whatever the factors
         with pytest.raises(ValueError, match="factor pair 1 breaks 0 <= T <= S"):
@@ -668,7 +721,8 @@ class TestLeakDepth:
 
     def test_grid_cap_is_judged_on_the_requested_box(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
-        assert leak_depths([pair.s], [pair.t]) == [2]
+        (first, _), (second, _) = support_rows(pair.s, pair.t, 2)
+        assert first and not second
         family = CommutingFamily(pairs=(pair, pair), base_exponents=(1, 1))
         with pytest.raises(GridCapExceeded, match="requested grid has 1001000 points"):
             check_family_grid(family, (1001, 1000))
@@ -705,7 +759,7 @@ class TestCompositionCounts:
         assert len(compositions) == max(e.bit_length() + e.bit_count() - 2, 0)
 
     def test_dominated_powers_sweep_makes_no_product(self, compositions):
-        """The one-pair walk steps rows, and S**1 is S: no product at all."""
+        """The one-pair walk steps bitset states, and S**1 is S: no product at all."""
         result = sweep_dominated_powers(5, n=4, n_max=50, seed0=7_000_000, denom_cap=64)
         assert result.checked == 5
         assert compositions == []

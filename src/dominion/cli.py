@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import re
 import sys
@@ -259,15 +260,15 @@ def _cmd_trace(args) -> int:
         _n_max_int(args, 20),
     )
     rows = (f"{n},{rational_str(a)},{decimal_str(a)}\n" for n, a in trace.records)
-    payload = "n,norm_exact,norm_decimal\n" + "".join(rows)
+    rows = itertools.chain(("n,norm_exact,norm_decimal\n",), rows)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload)
+                handle.writelines(rows)
         except OSError as exc:
             raise CliInputError(f"cannot write {args.out}: {exc}") from None
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(rows)
     return EXIT_VERIFIED
 
 

@@ -469,15 +469,30 @@ class MatrixOperator:
 
 
 def _column_norm(weights: tuple[int, ...], columns, den: int) -> Fraction:
-    """L1 norm of the matrix with the given numerator columns over ``den``:
-    the largest weighted absolute column sum relative to its own weight,
-    found by cross-multiplication."""
+    """L1 norm of the matrix with the given numerator columns over ``den``."""
+    best_sum, best_weight = _column_max(weights, columns)
+    return Fraction(best_sum, best_weight * den)
+
+
+def _column_max(weights: tuple[int, ...], columns) -> tuple[int, int]:
+    """``(s, w_j)`` for the column whose weighted absolute sum ``s`` is largest
+    relative to its own weight ``w_j``, found by cross-multiplication."""
     best_sum, best_weight = 0, 1
     for w_j, col in zip(weights, columns):
         col_sum = sum(map(operator.mul, weights, map(abs, col)))
         if col_sum * best_weight > best_sum * w_j:
             best_sum, best_weight = col_sum, w_j
-    return Fraction(best_sum, best_weight * den)
+    return best_sum, best_weight
+
+
+def _reduced(num: int, den: int, radical: int) -> Fraction:
+    """``Fraction(num, den)`` for ``den > 0`` whose primes all divide the small ``radical``:
+    a prime left in both when ``h = 1`` would divide ``gcd(den, radical)``, hence ``h``."""
+    while (h := math.gcd(num, math.gcd(den, radical))) > 1:
+        num, den = num // h, den // h
+    result = object.__new__(Fraction)  # as 3.12's Fraction._from_coprime_ints; runs on 3.10+
+    result._numerator, result._denominator = num, den
+    return result
 
 
 def _product(a: Numerators, b: Numerators) -> Numerators:

@@ -30,7 +30,8 @@ from .core import (
     InternalConsistencyError,
     MatrixOperator,
     RationalLike,
-    _column_norm,
+    _column_max,
+    _reduced,
     rat,
     unlimited_int_digits,
 )
@@ -58,6 +59,9 @@ __all__ = [
 PREFIX_ONLY = "prefix-only"
 TAIL_BY_MONOTONICITY = "tail-by-monotonicity"
 GRID_CAP = 200_000  # most exponent points one power-gap check walks
+# Steps between content divisions in zero_two_trace. Mean CPU of 250-step dense 4-point traces
+# at 1, 2, 4, 8, 16, 32 (2 cores, CPython 3.11.7): 10.3, 7.9, 7.2, 7.2, 8.1, 9.3 ms.
+CONTENT_INTERVAL = 4
 
 INTERNAL_INCONSISTENCY_NOTE = (
     "exact conclusion failure under verified hypotheses: this indicates a "
@@ -660,11 +664,12 @@ def zero_two_trace(
     the extra factor of T through Z^d.
 
     Since Z and T commute, the n-th difference is T^n D for the one
-    operator D = Z^d (T^k - I). The walk builds D once and then steps its
-    integer numerator columns by T's integer rows, multiplying the common
-    denominator by T's: n^3 integer products per step and no gcd. Each a_n
-    is the column norm of those numerators, reduced once into the
-    ``Fraction`` it returns.
+    operator D = Z^d (T^k - I). The walk steps D's integer numerator columns
+    by T's integer rows (den *= den(T)): n^3 integer products per step. Every
+    prime of every den divides ``r = den(D) den(T)``, so each gcd has a short
+    operand: every ``CONTENT_INTERVAL`` steps the state is divided by
+    ``gcd(den, r^CONTENT_INTERVAL, *entries)``, and ``core._reduced`` brings
+    each a_n = s / (w_j den) to lowest terms against ``w_j r``.
     """
     if k < 1 or d < 1:
         raise ValueError("require k >= 1 and d >= 1")
@@ -679,11 +684,15 @@ def zero_two_trace(
 
     start = (z**d) @ (t**k - MatrixOperator.identity(t.space))
     weights, cols, den = t.space._integer_weights, list(zip(*start.num)), start.den
-    norms = [_column_norm(weights, cols, den)]
-    for _ in range(n_max):  # each difference is the previous one times T
-        cols = [[sum(map(operator.mul, row, col)) for row in t.num] for col in cols]
-        den *= t.den
-        norms.append(_column_norm(weights, cols, den))
+    radical, norms = start.den * t.den, []
+    for n in range(n_max + 1):
+        if n:  # each difference is the previous one times T
+            cols, den = [[sum(map(operator.mul, row, col)) for row in t.num] for col in cols], den * t.den
+            if n % CONTENT_INTERVAL == 0:
+                h = math.gcd(den, radical**CONTENT_INTERVAL, *itertools.chain.from_iterable(cols))
+                cols, den = [[entry // h for entry in col] for col in cols], den // h
+        col_sum, w_j = _column_max(weights, cols)
+        norms.append(_reduced(col_sum, w_j * den, w_j * radical))
     return ZeroTwoTrace(z=z, t=t, k=k, d=d, records=tuple(enumerate(norms)))
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dominion import (
     L1Vector,
@@ -25,6 +25,7 @@ from dominion import (
 )
 
 from dominion.calculus import operator_meet
+from dominion.core import _reduced
 
 from conftest import (
     exact_unit_sphere_points,
@@ -89,6 +90,37 @@ class TestRationals:
         assert (q.numerator, q.denominator) == (3, 4)
         q = Fraction(5, -10)
         assert (q.numerator, q.denominator) == (-1, 2)
+
+
+@st.composite
+def reducer_case(draw):
+    """(num, den, radical) where every prime of den divides radical, and
+    num shares up to high powers of those primes with den."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True, max_size=4))
+    radical = math.prod(p ** draw(st.integers(1, 3)) for p in primes) * draw(st.sampled_from((1, 17, 391)))
+    den = math.prod(p ** draw(st.integers(0, 80)) for p in primes)
+    shared = math.prod(p ** draw(st.integers(0, 80)) for p in primes)
+    num = draw(st.one_of(st.just(0), st.integers(-(10**40), 10**40))) * shared
+    return num, den, radical
+
+
+class TestReducer:
+    """``_reduced`` finds the canonical ``Fraction`` by gcds against the
+    small radical only."""
+
+    @given(reducer_case())
+    @example((0, 1, 1))
+    @example((0, 2**90 * 3**5, 6))
+    @example((7, 1, 1))
+    @example((-(3**70) * 5, 2**3 * 3**80, 2 * 3))
+    @example((2**200 * 3**10, 2**199, 2))
+    def test_equals_the_normalised_fraction(self, case):
+        num, den, radical = case
+        got, want = _reduced(num, den, radical), Fraction(num, den)
+        assert type(got) is Fraction
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
 
 
 class TestMeasureSpace:

@@ -115,6 +115,82 @@ class VerdictReport:
         return tuple(h for h in self.hypotheses if not h.holds)
 
 
+# -- the hypothesis ledger ----------------------------------------------------
+
+
+@unlimited_int_digits
+def _exact(value: object) -> str:
+    """``str(value)`` for detail and command strings, whatever the size of
+    the exact numbers in it."""
+    return str(value)
+
+
+# Each kind of line: report name, violation message, and a predicate on one or two
+# operands that looks its method or function up when it runs, so a rebinding reaches it.
+_KINDS = {
+    "positive": ("{} positive", "{} is not positive", lambda a, _: a.is_positive()),
+    "contraction": ("{} contraction", "{} is not a contraction", lambda a, _: a.is_contraction()),
+    "dominates": ("{} dominates {}", "{} does not dominate {}", lambda a, b: a.dominates(b)),
+    "commutes": ("{0} {1} = {1} {0}", "{} and {} do not commute", lambda a, b: a.commutes_with(b)),
+    "sup-preserving":
+        ("{} sup-preserving", "{} is not sup-preserving", lambda a, _: bool(is_lattice_homomorphism(a))),
+}
+
+
+def _line(kind: str, a: str, b: str | None = None) -> tuple:
+    """A ledger line: kind, predicate, operand names, report name and message."""
+    name, message, holds = _KINDS[kind]
+    return kind, holds, a, b, name.format(a, b), message.format(a, b)
+
+
+# Each statement's hypotheses in checking order; a commuting family's come from ``_family_ledger``.
+_LEDGER = {key: tuple(_line(*line.split()) for line in text.split(",")) for key, text in {
+    "dominated pair": "positive T, positive S, dominates S T, contraction S, contraction T",
+    "pair-product": "positive T1, contraction T1, positive T2, contraction T2, positive S1, "
+    "contraction S1, positive S2, contraction S2, dominates S1 T1, dominates S2 T2, commutes S1 S2",
+    "damped-powers": "positive Z, contraction Z, positive S, contraction S, positive T, "
+    "contraction T, dominates S T, commutes Z S",
+    "meet-bound": "sup-preserving Z, contraction Z, commutes Z T, positive T, contraction T",
+    "zero-two trace": "commutes Z T, positive Z, contraction Z, positive T, contraction T",
+    "decomposition": "positive T, contraction T",
+}.items()}
+
+
+@functools.cache
+def _family_ledger(size: int) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """The operand names S_1, T_1, ... of ``size`` pairs, and per i < j the S then T lines."""
+    names = tuple(f"{x}_{i}" for i in range(1, size + 1) for x in "ST")
+    pairs = itertools.combinations(range(1, size + 1), 2)
+    return names, tuple(_line("commutes", f"{x}_{i}", f"{x}_{j}") for i, j in pairs for x in "ST")
+
+
+def _require(lines: Iterable[tuple], operands: dict) -> None:
+    """Raise the first failing line's message; a line that holds formats and measures nothing."""
+    for _, holds, a, b, _, message in lines:
+        if not holds(operands[a], operands.get(b)):
+            raise HypothesisViolation(message)
+
+
+def _report(lines: Iterable[tuple], operands: dict) -> Iterator[HypothesisCheck]:
+    """One check per line; a contraction line's verdict is the one norm its detail prints."""
+    for kind, holds, a, b, name, _ in lines:
+        if kind == "contraction":
+            norm = operands[a].norm()
+            yield HypothesisCheck(name, norm <= 1, f"norm = {_exact(norm)}")
+        else:
+            yield HypothesisCheck(name, holds(operands[a], operands.get(b)))
+
+
+def _damping_hypotheses(
+    z: MatrixOperator, t: MatrixOperator, t_high: MatrixOperator, t_low: MatrixOperator
+) -> tuple[list[HypothesisCheck], Fraction]:
+    """The report of the meet bound and the certificate search, ending with
+    their premise |Z (T^(m+k) - T^m)| < 2, and the premise norm."""
+    premise = (z @ (t_high - t_low)).norm()
+    damped = HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {_exact(premise)}")
+    return [*_report(_LEDGER["meet-bound"], {"Z": z, "T": t}), damped], premise
+
+
 # -- validated hypothesis bundles --------------------------------------------
 
 
@@ -129,16 +205,7 @@ class DominatedPair:
     def __post_init__(self) -> None:
         if self.s.space != self.t.space:
             raise HypothesisViolation("pair members live on different spaces")
-        if not self.t.is_positive():
-            raise HypothesisViolation("T is not positive")
-        if not self.s.is_positive():
-            raise HypothesisViolation("S is not positive")
-        if not self.s.dominates(self.t):
-            raise HypothesisViolation("S does not dominate T")
-        if not self.s.is_contraction():
-            raise HypothesisViolation("S is not a contraction")
-        if not self.t.is_contraction():
-            raise HypothesisViolation("T is not a contraction")
+        _require(_LEDGER["dominated pair"], {"S": self.s, "T": self.t})
 
 
 @dataclass(frozen=True)
@@ -159,11 +226,8 @@ class CommutingFamily:
         space = self.pairs[0].s.space
         if any(p.s.space != space for p in self.pairs):
             raise HypothesisViolation("family members live on different spaces")
-        for i, j in itertools.combinations(range(len(self.pairs)), 2):
-            if not self.pairs[i].s.commutes_with(self.pairs[j].s):
-                raise HypothesisViolation(f"S_{i + 1} and S_{j + 1} do not commute")
-            if not self.pairs[i].t.commutes_with(self.pairs[j].t):
-                raise HypothesisViolation(f"T_{i + 1} and T_{j + 1} do not commute")
+        names, lines = _family_ledger(len(self.pairs))
+        _require(lines, dict(zip(names, [op for pair in self.pairs for op in (pair.s, pair.t)])))
 
     @property
     def size(self) -> int:
@@ -259,44 +323,6 @@ class CertificateSearch:
     certificate: tuple[int, int] | None = None
     achieved_norm: Fraction | None = None
     guarantee: str = ""
-
-
-# -- shared hypothesis helpers ------------------------------------------------
-
-
-@unlimited_int_digits
-def _exact(value: object) -> str:
-    """``str(value)`` for detail and command strings, whatever the size of
-    the exact numbers in it."""
-    return str(value)
-
-
-def _positive_contraction_checks(name: str, op: MatrixOperator) -> list[HypothesisCheck]:
-    nrm = op.norm()
-    return [
-        HypothesisCheck(f"{name} positive", op.is_positive()),
-        HypothesisCheck(f"{name} contraction", nrm <= 1, f"norm = {_exact(nrm)}"),
-    ]
-
-
-def _damping_hypotheses(
-    z: MatrixOperator,
-    t: MatrixOperator,
-    t_high: MatrixOperator,
-    t_low: MatrixOperator,
-) -> tuple[list[HypothesisCheck], Fraction]:
-    """Ledger of the meet bound and the certificate search: Z is a
-    sup-preserving contraction commuting with the positive contraction T,
-    and the premise norm |Z (T^(m+k) - T^m)| is below two."""
-    premise = (z @ (t_high - t_low)).norm()
-    z_norm = z.norm()
-    return [
-        HypothesisCheck("Z sup-preserving", bool(is_lattice_homomorphism(z))),
-        HypothesisCheck("Z contraction", z_norm <= 1, f"norm = {_exact(z_norm)}"),
-        HypothesisCheck("Z T = T Z", z.commutes_with(t)),
-        *_positive_contraction_checks("T", t),
-        HypothesisCheck("damped gap norm < 2", premise < 2, f"norm = {_exact(premise)}"),
-    ], premise
 
 
 # -- power-gap persistence checkers -------------------------------------------
@@ -426,7 +452,7 @@ def _bits(flags: Iterable[object]) -> int:
 
 def _power_gap_report(
     command: str,
-    hyps: Sequence[HypothesisCheck],
+    hyps: Iterable[HypothesisCheck],
     gaps: Iterator[tuple[tuple[int, ...], int, int]],
     ranges: tuple[tuple[int, int], ...],
 ) -> VerdictReport:
@@ -454,6 +480,19 @@ def _power_gap_report(
     )
 
 
+def _held_axis_report(
+    statement: str, operands: dict, s_factors: tuple, t_factors: tuple, n0: int, n_max: int
+) -> VerdictReport:
+    """The report of ``statement``, a ``_LEDGER`` key and the command name, on
+    |S_1 S_2^n - T_1 T_2^n| for n in [n0, n_max]: the walk with axis 1 held at 1."""
+    for op in operands.values():
+        s_factors[0]._require_same_space(op)
+    gaps = _grid_gaps(s_factors, t_factors, (1, n0), (1, n_max))
+    held = ((p[1:], num, den) for p, num, den in gaps)
+    command = f"{statement}(n0={n0}, n_max={n_max})"
+    return _power_gap_report(command, _report(_LEDGER[statement], operands), held, ((n0, n_max),))
+
+
 def check_pair_product(
     t1: MatrixOperator,
     t2: MatrixOperator,
@@ -469,19 +508,8 @@ def check_pair_product(
     operators, S1 >= T1, S2 >= T2, S1 S2 = S2 S1, and the base gap norm.
     The conclusion is then re-verified for every n in [n0, n_max].
     """
-    for other in (t2, s1, s2):
-        t1._require_same_space(other)
-    command = f"pair-product(n0={n0}, n_max={n_max})"
-
-    hyps: list[HypothesisCheck] = []
-    for name, op in (("T1", t1), ("T2", t2), ("S1", s1), ("S2", s2)):
-        hyps.extend(_positive_contraction_checks(name, op))
-    hyps.append(HypothesisCheck("S1 dominates T1", s1.dominates(t1)))
-    hyps.append(HypothesisCheck("S2 dominates T2", s2.dominates(t2)))
-    hyps.append(HypothesisCheck("S1 S2 = S2 S1", s1.commutes_with(s2)))
-    gaps = _grid_gaps((s1, s2), (t1, t2), (1, n0), (1, n_max))
-    held = ((p[1:], num, den) for p, num, den in gaps)
-    return _power_gap_report(command, hyps, held, ((n0, n_max),))
+    operands = {"T1": t1, "T2": t2, "S1": s1, "S2": s2}
+    return _held_axis_report("pair-product", operands, (s1, s2), (t1, t2), n0, n_max)
 
 
 def check_damped_powers(
@@ -495,18 +523,8 @@ def check_damped_powers(
     below one, for positive contractions with T <= S and ZS = SZ.
 
     The gap is evaluated as the distance between Z S^n and Z T^n."""
-    z._require_same_space(s)
-    z._require_same_space(t)
-    command = f"damped-powers(n0={n0}, n_max={n_max})"
-
-    hyps: list[HypothesisCheck] = []
-    for name, op in (("Z", z), ("S", s), ("T", t)):
-        hyps.extend(_positive_contraction_checks(name, op))
-    hyps.append(HypothesisCheck("S dominates T", s.dominates(t)))
-    hyps.append(HypothesisCheck("Z S = S Z", z.commutes_with(s)))
-    gaps = _grid_gaps((z, s), (z, t), (1, n0), (1, n_max))
-    held = ((p[1:], num, den) for p, num, den in gaps)
-    return _power_gap_report(command, hyps, held, ((n0, n_max),))
+    operands = {"Z": z, "S": s, "T": t}
+    return _held_axis_report("damped-powers", operands, (z, s), (z, t), n0, n_max)
 
 
 def check_family_grid(
@@ -523,29 +541,16 @@ def check_family_grid(
 
     The grid is walked by ``_grid_gaps``, the one power-gap walk, in
     lexicographic order, so a FALSIFIED report names the lexicographically
-    first failing point. Past the base point it decides each point on
-    column supports alone (``_grid_gaps``): about 2 n bitset tests per step,
-    with no integer product and no bit growth, and one state per axis, never
-    a table of powers. It stops an axis once no column of the S product
-    keeps its full mass: with base exponents 1, the gallery's random
-    families on the acceptance draws stop after a few steps whatever
-    ``m_max`` is. The walk checks the bounds on the requested box; more than
-    ``GRID_CAP`` points raises ``GridCapExceeded``, the cap all three
-    power-gap checkers share.
+    first failing point; more than ``GRID_CAP`` points raises
+    ``GridCapExceeded``, the cap all three power-gap checkers share.
     A one-pair family with base exponent 1 is Zaharopol's |S^n - T^n| < 1.
     """
     n0s = family.base_exponents
     command = f"family-grid(n0={list(n0s)}, m_max={list(m_max)})"
 
-    hyps = [
-        HypothesisCheck(
-            "family invariants (positivity, domination, contractivity, commutation)",
-            True,
-            "enforced at construction",
-        )
-    ]
-    s_factors = [pair.s for pair in family.pairs]
-    t_factors = [pair.t for pair in family.pairs]
+    invariants = "family invariants (positivity, domination, contractivity, commutation)"
+    hyps = [HypothesisCheck(invariants, True, "enforced at construction")]
+    s_factors, t_factors = zip(*((pair.s, pair.t) for pair in family.pairs))
     ranges = tuple((n0, m) for n0, m in zip(n0s, m_max))
     return _power_gap_report(command, hyps, _grid_gaps(s_factors, t_factors, n0s, m_max), ranges)
 
@@ -571,8 +576,7 @@ def check_meet_bound(
     z._require_same_space(t)
     command = f"meet-bound(m={m}, k={k})"
 
-    t_high = t ** (m + k)
-    t_low = t**m
+    t_high, t_low = t ** (m + k), t**m
     hyps, premise = _damping_hypotheses(z, t, t_high, t_low)
     report = functools.partial(VerdictReport, command, tuple(hyps))
     if not all(h.holds for h in hyps):
@@ -613,8 +617,7 @@ def build_decomposition(
     """
     if m < 0 or k < 1 or ell < 1 or d < 1:
         raise ValueError("require m >= 0, k >= 1, ell >= 1, d >= 1")
-    if not t.is_positive() or not t.is_contraction():
-        raise HypothesisViolation("the base operator must be a positive contraction")
+    _require(_LEDGER["decomposition"], {"T": t})
 
     identity = MatrixOperator.identity(t.space)
     averaged = ((identity + t) * Fraction(1, 2)) ** ell
@@ -676,11 +679,7 @@ def zero_two_trace(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     z._require_same_space(t)
-    if not z.commutes_with(t):
-        raise HypothesisViolation("the damping operator must commute with the base")
-    for name, op in (("Z", z), ("T", t)):
-        if not op.is_positive() or not op.is_contraction():
-            raise HypothesisViolation(f"{name} must be a positive contraction")
+    _require(_LEDGER["zero-two trace"], {"Z": z, "T": t})
 
     start = (z**d) @ (t**k - MatrixOperator.identity(t.space))
     weights, cols, den = t.space._integer_weights, list(zip(*start.num)), start.den

@@ -20,6 +20,8 @@ construction that the gallery's integer-numerator draws replace. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
 floating point from a closed form on uniform two-point spaces.
+``noncommuting_t_pairs`` is the two-pair family whose S members commute and
+whose T members do not.
 
 Hypothesis runs under the ``tier1`` profile: examples are derived from each
 test's source rather than a random seed, so every run checks the same
@@ -40,7 +42,7 @@ from random import Random
 import pytest
 from hypothesis import settings
 
-from dominion import L1Vector, MatrixOperator, MeasureSpace, unit_gap_pair
+from dominion import DominatedPair, L1Vector, MatrixOperator, MeasureSpace, unit_gap_pair
 
 settings.register_profile("tier1", derandomize=True, database=None, max_examples=50, deadline=None)
 settings.load_profile("tier1")
@@ -101,6 +103,16 @@ def sup_preserving_on_vertices(z: MatrixOperator) -> bool:
         for x in vertices
         for y in vertices
     )
+
+
+def noncommuting_t_pairs(space: MeasureSpace) -> tuple[DominatedPair, DominatedPair]:
+    """Two dominated pairs on a two-point space: S_1 = S_2 the uniform
+    averaging map, T_1 = [[1/2, 0], [0, 0]] and T_2 = [[0, 0], [1/2, 0]], so
+    that T_1 T_2 = 0 != T_2 T_1."""
+    average = MatrixOperator(space, (("1/2", "1/2"), ("1/2", "1/2")))
+    t1 = MatrixOperator(space, (("1/2", 0), (0, 0)))
+    t2 = MatrixOperator(space, ((0, 0), ("1/2", 0)))
+    return DominatedPair(s=average, t=t1), DominatedPair(s=average, t=t2)
 
 
 def random_vector(space: MeasureSpace, rng: Random, bound: int = 2) -> L1Vector:

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import dominion.core
+import dominion.gallery
 import dominion.theorems
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -68,6 +69,26 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer_run.uninstall()
     assert dict(vars(dominion.core.MatrixOperator)) == originals
+
+
+def test_hypothesis_predicates_reach_the_traced_layers():
+    # The hypothesis ledger must look its predicates up when a line runs: a
+    # table holding the original function objects would bypass the tracer's
+    # patches and hide every hypothesis check from these layers.
+    pair = dominion.gallery.unit_gap_pair()
+    identity = dominion.core.MatrixOperator.identity(pair.space)
+    tracer_run = tracer.Tracer()
+    tracer_run.install()
+    try:
+        dominion.theorems.check_meet_bound(identity, pair.s, 0, 1)
+        dominion.gallery.random_dominated_pair(0, 3)
+    finally:
+        tracer_run.uninstall()
+    metrics = tracer_run.summary(1, 0.0)
+    # One sup-preserving line; two compare-layer lines of the meet bound
+    # (Z T = T Z, T positive) and five of the dominated pair.
+    assert metrics["calculus.lattice_hom.calls"][0] == 1
+    assert metrics["core.compare.calls"][0] >= 7
 
 
 def test_workloads_import():

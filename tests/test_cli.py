@@ -35,7 +35,7 @@ from dominion.bundles import (
 from dominion.cli import build_parser, main
 from dominion.theorems import check_damped_powers, find_epsilon_certificate
 
-from conftest import ref_decimal_str
+from conftest import noncommuting_t_pairs, ref_decimal_str
 
 
 @pytest.fixture
@@ -278,6 +278,20 @@ class TestCheckCommand:
         save_bundle(bundle, str(path))
         assert main(["check", "family-grid", str(path), "--n-max", "3,3,3"]) == 0
 
+    def test_family_grid_names_the_first_noncommuting_members(self, tmp_path, capsys):
+        p1, p2 = noncommuting_t_pairs(unit_gap_pair().space)
+        bundle = OperatorBundle(
+            space=p1.s.space,
+            operators={"S": p1.s, "T1": p1.t, "T2": p2.t},
+            roles={"S1": "S", "T1": "T1", "S2": "S", "T2": "T2"},
+        )
+        path = tmp_path / "family.bundle"
+        save_bundle(bundle, str(path))
+        assert main(["check", "family-grid", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "hypothesis unmet: T_1 and T_2 do not commute\n"
+        assert captured.out == ""
+
     @staticmethod
     def _unit_gap_family(tmp_path, roles: dict, params: dict) -> str:
         pair = unit_gap_pair()
@@ -397,6 +411,17 @@ class TestTraceCommand:
         assert exact == ["1/1", "1/6", "5/36", "25/216", "125/1296", "625/7776"]
         assert lines[1] == "0,1/1,1"
         assert lines[2] == "1,1/6,0.166666666667"
+
+    def test_non_commuting_bundle_is_hypothesis_unmet(self, tmp_path, capsys):
+        space = unit_gap_pair().space
+        up = MatrixOperator(space, ((0, "1/2"), (0, 0)))
+        down = MatrixOperator(space, ((0, 0), ("1/2", 0)))
+        path = tmp_path / "shift.bundle"
+        save_bundle(OperatorBundle(space=space, operators={"Z": up, "T": down}), str(path))
+        assert main(["trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "hypothesis unmet: Z and T do not commute\n"
+        assert captured.out == ""
 
     def test_identity_rows_are_zero(self, tmp_path, capsys):
         pair = unit_gap_pair()

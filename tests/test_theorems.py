@@ -46,6 +46,7 @@ from dominion.theorems import (
 from conftest import (
     column_stochastic,
     matrix_grid_gaps,
+    noncommuting_t_pairs,
     ref_certificate_scan,
     ref_compose,
     ref_grid_gaps,
@@ -99,8 +100,65 @@ class TestDominatedPair:
         with pytest.raises(HypothesisViolation, match="positive"):
             DominatedPair(s=MatrixOperator.identity(two_point), t=signed)
 
+    # (S, T, the operator whose predicate is forced false or None, message).
+    # 0 <= T <= S makes "S positive" and "T contraction" follow from the other
+    # lines, so those two fail alone only with their predicate forced false.
+    @pytest.mark.parametrize("s, t, forced, message", [
+        ("I", "signed", None, "T is not positive"),
+        ("I", "I/2", ("is_positive", "s"), "S is not positive"),
+        ("I/2", "I", None, "S does not dominate T"),
+        ("2I", "0", None, "S is not a contraction"),
+        ("I", "I/2", ("is_contraction", "t"), "T is not a contraction"),
+    ])
+    def test_each_line_raises_its_exact_message(self, two_point, monkeypatch, s, t, forced, message):
+        identity = MatrixOperator.identity(two_point)
+        ops = {
+            "I": identity, "I/2": identity * Fraction(1, 2), "2I": identity * 2,
+            "0": MatrixOperator.zero(two_point),
+            "signed": MatrixOperator(two_point, ((0, "-1/2"), (0, 0))),
+        }
+        s, t = ops[s], ops[t]
+        if forced is not None:
+            method, role = forced
+            original, target = getattr(MatrixOperator, method), {"s": s, "t": t}[role]
+            monkeypatch.setattr(MatrixOperator, method, lambda op: op is not target and original(op))
+        lines = {
+            "T is not positive": t.is_positive(),
+            "S is not positive": s.is_positive(),
+            "S does not dominate T": s.dominates(t),
+            "S is not a contraction": s.is_contraction(),
+            "T is not a contraction": t.is_contraction(),
+        }
+        assert [m for m, holds in lines.items() if not holds] == [message]
+        with pytest.raises(HypothesisViolation) as raised:
+            DominatedPair(s=s, t=t)
+        assert str(raised.value) == message
+
+    def test_space_message(self, two_point):
+        other = MeasureSpace((1, 2))
+        with pytest.raises(HypothesisViolation) as raised:
+            DominatedPair(s=MatrixOperator.identity(two_point), t=MatrixOperator.identity(other))
+        assert str(raised.value) == "pair members live on different spaces"
+
 
 class TestCommutingFamily:
+    def test_s_message_names_the_first_noncommuting_pair(self, two_point):
+        zero = MatrixOperator.zero(two_point)
+        members = (
+            MatrixOperator.identity(two_point) * Fraction(1, 2),
+            MatrixOperator(two_point, ((0, "1/2"), (0, 0))),
+            MatrixOperator(two_point, ((0, 0), ("1/2", 0))),
+        )
+        pairs = tuple(DominatedPair(s=s, t=zero) for s in members)
+        with pytest.raises(HypothesisViolation) as raised:
+            CommutingFamily(pairs=pairs, base_exponents=(1, 1, 1))
+        assert str(raised.value) == "S_2 and S_3 do not commute"
+
+    def test_t_message_when_the_s_members_commute(self, two_point):
+        with pytest.raises(HypothesisViolation) as raised:
+            CommutingFamily(pairs=noncommuting_t_pairs(two_point), base_exponents=(1, 1))
+        assert str(raised.value) == "T_1 and T_2 do not commute"
+
     def test_rejects_non_commuting_members(self, two_point):
         up = MatrixOperator(two_point, ((0, "1/2"), (0, 0)))
         down = MatrixOperator(two_point, ((0, 0), ("1/2", 0)))
@@ -832,8 +890,9 @@ class TestDecomposition:
     def test_parameter_validation(self, gap_pair, two_point):
         with pytest.raises(ValueError):
             build_decomposition(gap_pair.s, -1, 1, 1, 1)
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation) as raised:
             build_decomposition(MatrixOperator.identity(two_point) * 2, 0, 1, 1, 1)
+        assert str(raised.value) == "T is not a contraction"
 
 
 class TestZeroTwoTrace:
@@ -881,12 +940,19 @@ class TestZeroTwoTrace:
     def test_rejects_non_commuting(self, two_point):
         up = MatrixOperator(two_point, ((0, "1/2"), (0, 0)))
         down = MatrixOperator(two_point, ((0, 0), ("1/2", 0)))
-        with pytest.raises(HypothesisViolation, match="commute"):
+        with pytest.raises(HypothesisViolation) as raised:
             zero_two_trace(up, down, 1, 1, 5)
+        assert str(raised.value) == "Z and T do not commute"
+
+    def test_rejects_signed_damping(self, identity2):
+        with pytest.raises(HypothesisViolation) as raised:
+            zero_two_trace(identity2 * Fraction(-1, 2), identity2, 1, 1, 5)
+        assert str(raised.value) == "Z is not positive"
 
     def test_rejects_expansive_input(self, two_point, identity2):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation) as raised:
             zero_two_trace(identity2, identity2 * 2, 1, 1, 5)
+        assert str(raised.value) == "T is not a contraction"
 
 
 class TestZeroTwoTraceConstruction:

@@ -3,9 +3,7 @@ weighted L1 spaces: lattice operations, induced norms, statement checkers,
 zero-two traces, and seeded property sweeps."""
 
 from .calculus import (
-    HomIdentityReport,
     LatticeHomCertificate,
-    check_hom_identities,
     is_lattice_contraction,
     is_lattice_homomorphism,
     operator_meet,
@@ -38,6 +36,7 @@ from .theorems import (
     DecompositionWitness,
     DominatedPair,
     GridCapExceeded,
+    HomIdentityReport,
     HypothesisCheck,
     HypothesisViolation,
     Verdict,
@@ -46,6 +45,7 @@ from .theorems import (
     build_decomposition,
     check_damped_powers,
     check_family_grid,
+    check_hom_identities,
     check_meet_bound,
     check_pair_product,
     find_epsilon_certificate,

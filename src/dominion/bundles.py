@@ -107,10 +107,7 @@ class OperatorBundle:
         if value is None:
             return default
         if isinstance(value, (int, str)):
-            try:
-                return rat(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise BundleError(f"params.{name}: {exc}") from None
+            return _parse_rational(value, f"params.{name}")
         raise BundleError(f"params.{name}: expected a rational, got {value!r}")
 
     def param_int_list(self, name: str, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
@@ -176,10 +173,9 @@ def _parse_rational(raw: object, where: str) -> Fraction:
     if not _is_rational(raw):
         raise BundleError(f"{where}: expected an integer or a \"p/q\" string, got {raw!r}")
     try:
-        value = rat(raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise BundleError(f"{where}: {exc}") from None
-    return value
+        return rat(raw)
+    except ZeroDivisionError:
+        raise BundleError(f"{where}: expected a rational p/q with q != 0, got {raw!r}") from None
 
 
 @unlimited_int_digits
@@ -241,6 +237,7 @@ def parse_bundle(text: str) -> OperatorBundle:
         raise BundleError("params: expected an object")
     for key, value in params_doc.items():
         if _is_rational(value):
+            _parse_rational(value, f"params.{key}")  # a zero denominator fails here, not when read
             continue
         if isinstance(value, list) and all(_is_int(v) for v in value):
             continue

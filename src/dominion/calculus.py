@@ -21,8 +21,6 @@ __all__ = [
     "LatticeHomCertificate",
     "is_lattice_homomorphism",
     "is_lattice_contraction",
-    "HomIdentityReport",
-    "check_hom_identities",
 ]
 
 
@@ -115,48 +113,3 @@ def is_lattice_homomorphism(z: MatrixOperator) -> LatticeHomCertificate:
 def is_lattice_contraction(z: MatrixOperator) -> bool:
     """Sup-preserving operator with norm at most one."""
     return bool(is_lattice_homomorphism(z)) and z.is_contraction()
-
-
-@dataclass(frozen=True)
-class HomIdentityReport:
-    """Exact verdicts for the two transport identities of a sup-preserving
-    operator: Z|S - T| = |Z(S - T)| and Z(S ^ T) = ZS ^ ZT.
-
-    A hypothesis violation (Z not sup-preserving, or S, T not positive
-    contractions) is reported via ``failed_hypotheses`` and leaves the
-    identity fields unset; it is never conflated with an identity failure.
-    """
-
-    hypotheses_ok: bool
-    failed_hypotheses: tuple[str, ...]
-    modulus_identity: bool | None
-    meet_identity: bool | None
-
-    @property
-    def both_hold(self) -> bool:
-        return bool(self.hypotheses_ok and self.modulus_identity and self.meet_identity)
-
-
-def check_hom_identities(
-    z: MatrixOperator,
-    s: MatrixOperator,
-    t: MatrixOperator,
-) -> HomIdentityReport:
-    """Verify the modulus and meet transport identities exactly."""
-    failed: list[str] = []
-    if z.space != s.space or z.space != t.space:
-        failed.append("operators live on different measure spaces")
-    else:
-        if not is_lattice_homomorphism(z):
-            failed.append("Z is not sup-preserving")
-        for name, op in (("S", s), ("T", t)):
-            if not op.is_positive():
-                failed.append(f"{name} is not positive")
-            if not op.is_contraction():
-                failed.append(f"{name} is not a contraction")
-    if failed:
-        return HomIdentityReport(False, tuple(failed), None, None)
-    gap = s - t
-    modulus_ok = z @ operator_modulus(gap) == operator_modulus(z @ gap)
-    meet_ok = z @ operator_meet(s, t) == operator_meet(z @ s, z @ t)
-    return HomIdentityReport(True, (), modulus_ok, meet_ok)

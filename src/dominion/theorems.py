@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .calculus import is_lattice_homomorphism, operator_meet
+from .calculus import is_lattice_homomorphism, operator_meet, operator_modulus
 from .core import (
     InternalConsistencyError,
     MatrixOperator,
@@ -47,10 +47,12 @@ __all__ = [
     "ZeroTwoTrace",
     "DecompositionWitness",
     "CertificateSearch",
+    "HomIdentityReport",
     "check_pair_product",
     "check_damped_powers",
     "check_family_grid",
     "check_meet_bound",
+    "check_hom_identities",
     "build_decomposition",
     "zero_two_trace",
     "find_epsilon_certificate",
@@ -153,6 +155,7 @@ _LEDGER = {key: tuple(_line(*line.split()) for line in text.split(",")) for key,
     "meet-bound": "sup-preserving Z, contraction Z, commutes Z T, positive T, contraction T",
     "zero-two trace": "commutes Z T, positive Z, contraction Z, positive T, contraction T",
     "decomposition": "positive T, contraction T",
+    "transport identities": "sup-preserving Z, positive S, contraction S, positive T, contraction T",
 }.items()}
 
 
@@ -164,11 +167,17 @@ def _family_ledger(size: int) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     return names, tuple(_line("commutes", f"{x}_{i}", f"{x}_{j}") for i, j in pairs for x in "ST")
 
 
-def _require(lines: Iterable[tuple], operands: dict) -> None:
-    """Raise the first failing line's message; a line that holds formats and measures nothing."""
+def _failures(lines: Iterable[tuple], operands: dict) -> Iterator[str]:
+    """Each failing line's message, in order; a line that holds formats and measures nothing."""
     for _, holds, a, b, _, message in lines:
         if not holds(operands[a], operands.get(b)):
-            raise HypothesisViolation(message)
+            yield message
+
+
+def _require(lines: Iterable[tuple], operands: dict) -> None:
+    """Raise the first failing line's message."""
+    for message in _failures(lines, operands):
+        raise HypothesisViolation(message)
 
 
 def _report(lines: Iterable[tuple], operands: dict) -> Iterator[HypothesisCheck]:
@@ -325,6 +334,26 @@ class CertificateSearch:
     guarantee: str = ""
 
 
+@dataclass(frozen=True)
+class HomIdentityReport:
+    """Exact verdicts for the two transport identities of a sup-preserving
+    operator: Z|S - T| = |Z(S - T)| and Z(S ^ T) = ZS ^ ZT.
+
+    A hypothesis violation (Z not sup-preserving, or S, T not positive
+    contractions) is reported via ``failed_hypotheses`` and leaves the
+    identity fields unset; it is never conflated with an identity failure.
+    """
+
+    hypotheses_ok: bool
+    failed_hypotheses: tuple[str, ...]
+    modulus_identity: bool | None
+    meet_identity: bool | None
+
+    @property
+    def both_hold(self) -> bool:
+        return bool(self.hypotheses_ok and self.modulus_identity and self.meet_identity)
+
+
 # -- power-gap persistence checkers -------------------------------------------
 
 
@@ -333,29 +362,29 @@ def _grid_gaps(
     t_factors: Sequence[MatrixOperator],
     n0s: Sequence[int],
     m_max: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The power-gap walk over the box n_i in [n0s[i], m_max[i]]. It yields
-    ``(exponents, num, den)`` with ``num / den`` the exact gap
-    ``|S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|``: first at the base
-    point, then, in lexicographic order, each other point of the box whose
-    gap is 1 or more, as ``(point, 1, 1)``.
+) -> tuple[Fraction, Iterator[tuple[int, ...]]]:
+    """The power-gap walk over the box n_i in [n0s[i], m_max[i]] of the gap
+    ``|S_1^(n_1)...S_k^(n_k) - T_1^(n_1)...T_k^(n_k)|``. It returns ``(base,
+    points)``: ``base`` is the exact gap at the base point, and ``points``
+    lazily yields, in lexicographic order, each other point of the box
+    whose gap is 1.
 
-    It is the one check of the exponent box: before yielding it needs one S
-    factor, T factor, base exponent and bound per axis, every n0 >= 1 and
-    m_max[i] >= n0s[i] (else ``ValueError``), and at most ``GRID_CAP``
-    points (else ``GridCapExceeded``).
+    It is the one check of the exponent box: before measuring anything it
+    needs one S factor, T factor, base exponent and bound per axis, every
+    n0 >= 1 and m_max[i] >= n0s[i] (else ``ValueError``), and at most
+    ``GRID_CAP`` points (else ``GridCapExceeded``).
 
     The base gap is the ``distance`` of the base products, since the
-    caller's hypotheses may fail there. The rest need ``0 <= T_i <= S_i``
-    with S_i a contraction (else ``ValueError``). Then ``P = prod S`` and
-    ``Q = prod T`` have ``0 <= Q <= P`` and ``w^T P e_j <= w_j`` for the
-    weights w, so the gap ``max_j w^T (P - Q) e_j / w_j`` lies in [0, 1].
-    It is exactly 1 iff some column lies in both ``Zl(P) = {j : w^T P e_j
-    = w_j}``, the columns whose full mass P keeps, and ``Zc(Q) = {j : Q e_j
-    = 0}``, the zero columns of Q. So each point is decided on supports: the
-    state ``(Zl, Zc)``, two int bitsets, starts at the identity's ``(every
-    column, {})`` and is right-multiplied in factor order (nothing need
-    commute) by
+    caller's hypotheses may fail there. ``points`` is read only once they
+    hold, and they give ``0 <= T_i <= S_i`` with S_i a contraction. Then
+    ``P = prod S`` and ``Q = prod T`` have ``0 <= Q <= P`` and ``w^T P e_j
+    <= w_j`` for the weights w, so the gap ``max_j w^T (P - Q) e_j / w_j``
+    lies in [0, 1]. It is exactly 1 iff some column lies in both ``Zl(P) =
+    {j : w^T P e_j = w_j}``, the columns whose full mass P keeps, and
+    ``Zc(Q) = {j : Q e_j = 0}``, the zero columns of Q. So each point is
+    decided on supports: the state ``(Zl, Zc)``, two int bitsets, starts at
+    the identity's ``(every column, {})`` and is right-multiplied in factor
+    order (nothing need commute) by
 
         Zl(AB) = {j in Zl(B) : supp(B e_j) in Zl(A)}   (B an S factor)
         Zc(AB) = {j : supp(B e_j) in Zc(A)}            (B a T factor)
@@ -379,30 +408,33 @@ def _grid_gaps(
     size = math.prod(m - n0 + 1 for m, n0 in zip(m_max, n0s))
     if size > GRID_CAP:
         raise GridCapExceeded(f"requested grid has {size} points, more than the cap {GRID_CAP}")
-
-    def gap(s_powers: Iterable[MatrixOperator], t_powers: Iterable[MatrixOperator]) -> Fraction:
-        s_prod, t_prod = (functools.reduce(operator.matmul, p) for p in (s_powers, t_powers))
-        return s_prod.distance(t_prod)
-
     s_base = [s**n0 for s, n0 in zip(s_factors, n0s)]
     t_base = [t**n0 for t, n0 in zip(t_factors, n0s)]
-    base_point, base = tuple(n0s), gap(s_base, t_base)
-    yield base_point, base.numerator, base.denominator
+    return _gap(s_base, t_base), _unit_gap_points(s_factors, t_factors, n0s, m_max, s_base, t_base)
 
-    for i, (s, t) in enumerate(zip(s_factors, t_factors)):
-        if not (t.is_positive() and s.dominates(t) and s.is_contraction()):
-            raise ValueError(f"factor pair {i + 1} breaks 0 <= T <= S with S a contraction")
+
+def _gap(s_powers: Iterable[MatrixOperator], t_powers: Iterable[MatrixOperator]) -> Fraction:
+    """The distance between the products of ``s_powers`` and ``t_powers``."""
+    s_prod, t_prod = (functools.reduce(operator.matmul, p) for p in (s_powers, t_powers))
+    return s_prod.distance(t_prod)
+
+
+def _unit_gap_points(
+    s_factors: Sequence, t_factors: Sequence, n0s: Sequence, m_max: Sequence, s_base: list, t_base: list
+) -> Iterator[tuple[int, ...]]:
+    """The ``points`` of ``_grid_gaps``, given the powers at its base point."""
     steps = [_support_pair(s, t) for s, t in zip(s_factors, t_factors)]
     axes = tuple(
         (n0, m, step if n0 == 1 else _support_pair(s, t), step)  # S**1 is S
         for n0, m, step, s, t in zip(n0s, m_max, steps, s_base, t_base)
     )
+    base_point = tuple(n0s)
     for point in _support_points(axes, ((1 << s_factors[0].space.n) - 1, 0)):
         if point == base_point:
-            continue  # measured above
-        if gap(map(pow, s_factors, point), map(pow, t_factors, point)) != 1:
+            continue  # measured by _grid_gaps
+        if _gap(map(pow, s_factors, point), map(pow, t_factors, point)) != 1:
             raise InternalConsistencyError(f"the support walk misjudged the gap at {point}")
-        yield point, 1, 1
+        yield point
 
 
 # A module-level generator: nested in ``_grid_gaps``, the recursive walk would
@@ -451,22 +483,16 @@ def _bits(flags: Iterable[object]) -> int:
 
 
 def _power_gap_report(
-    command: str,
-    hyps: Iterable[HypothesisCheck],
-    gaps: Iterator[tuple[tuple[int, ...], int, int]],
-    ranges: tuple[tuple[int, int], ...],
+    command: str, hyps: Iterable[HypothesisCheck], base: Fraction, points: Iterator, ranges: tuple
 ) -> VerdictReport:
-    """Take the first gap as the base gap norm and append it to the
-    hypotheses; if they all hold, check the remaining gaps over ``ranges``
-    and report the first ``(point, num, den)`` with gap norm ``num / den``
-    >= 1, if any. Only those two gaps become Fractions."""
-    _, num, den = next(gaps)
-    base = Fraction(num, den)
+    """Append the base gap norm ``base`` to the hypotheses; if they all
+    hold, report the first of ``points``, the points of gap 1 over
+    ``ranges`` past the base point, if any."""
     hyps = (*hyps, HypothesisCheck("base gap norm < 1", base < 1, f"norm = {_exact(base)}"))
     values = (("base gap norm", base),)
     if not all(h.holds for h in hyps):
         return VerdictReport(command, hyps, Verdict.HYPOTHESIS_UNMET, values=values)
-    point, num, den = next((gap for gap in gaps if gap[1] >= gap[2]), (None, 0, 1))
+    point = next(points, None)
     return VerdictReport(
         command,
         hyps,
@@ -475,7 +501,7 @@ def _power_gap_report(
         guarantee=PREFIX_ONLY,
         values=values,
         failure_point=point,
-        failure_norm=None if point is None else Fraction(num, den),
+        failure_norm=None if point is None else Fraction(1),
         notes=() if point is None else (INTERNAL_INCONSISTENCY_NOTE,),
     )
 
@@ -487,10 +513,10 @@ def _held_axis_report(
     |S_1 S_2^n - T_1 T_2^n| for n in [n0, n_max]: the walk with axis 1 held at 1."""
     for op in operands.values():
         s_factors[0]._require_same_space(op)
-    gaps = _grid_gaps(s_factors, t_factors, (1, n0), (1, n_max))
-    held = ((p[1:], num, den) for p, num, den in gaps)
+    base, points = _grid_gaps(s_factors, t_factors, (1, n0), (1, n_max))
     command = f"{statement}(n0={n0}, n_max={n_max})"
-    return _power_gap_report(command, _report(_LEDGER[statement], operands), held, ((n0, n_max),))
+    hyps = _report(_LEDGER[statement], operands)
+    return _power_gap_report(command, hyps, base, (p[1:] for p in points), ((n0, n_max),))
 
 
 def check_pair_product(
@@ -552,7 +578,7 @@ def check_family_grid(
     hyps = [HypothesisCheck(invariants, True, "enforced at construction")]
     s_factors, t_factors = zip(*((pair.s, pair.t) for pair in family.pairs))
     ranges = tuple((n0, m) for n0, m in zip(n0s, m_max))
-    return _power_gap_report(command, hyps, _grid_gaps(s_factors, t_factors, n0s, m_max), ranges)
+    return _power_gap_report(command, hyps, *_grid_gaps(s_factors, t_factors, n0s, m_max), ranges)
 
 
 def check_meet_bound(
@@ -593,6 +619,20 @@ def check_meet_bound(
             notes=(INTERNAL_INCONSISTENCY_NOTE,),
         )
     return report(Verdict.VERIFIED, values=values)
+
+
+def check_hom_identities(z: MatrixOperator, s: MatrixOperator, t: MatrixOperator) -> HomIdentityReport:
+    """Verify the modulus and meet transport identities exactly."""
+    if z.space != s.space or z.space != t.space:
+        failed = ("operators live on different measure spaces",)
+    else:
+        failed = tuple(_failures(_LEDGER["transport identities"], {"Z": z, "S": s, "T": t}))
+    if failed:
+        return HomIdentityReport(False, failed, None, None)
+    gap = s - t
+    modulus_ok = z @ operator_modulus(gap) == operator_modulus(z @ gap)
+    meet_ok = z @ operator_meet(s, t) == operator_meet(z @ s, z @ t)
+    return HomIdentityReport(True, (), modulus_ok, meet_ok)
 
 
 # -- decomposition machinery --------------------------------------------------

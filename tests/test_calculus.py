@@ -206,6 +206,22 @@ class TestHomIdentities:
         assert "Z is not sup-preserving" in report.failed_hypotheses
         assert report.modulus_identity is None and report.meet_identity is None
 
+    @pytest.mark.parametrize("z, s, t, failed", [
+        ("I", "I", "other", ("operators live on different measure spaces",)),
+        ("I", "signed", "0", ("S is not positive",)),
+        ("signed", "2I", "signed", ("Z is not sup-preserving", "S is not a contraction", "T is not positive")),
+    ])
+    def test_reports_every_failing_line_in_ledger_order(self, two_point, z, s, t, failed):
+        identity = MatrixOperator.identity(two_point)
+        ops = {
+            "I": identity, "2I": identity * 2, "0": MatrixOperator.zero(two_point),
+            "signed": MatrixOperator(two_point, ((0, "-1/2"), (0, 0))),
+            "other": MatrixOperator.identity(MeasureSpace((1,))),
+        }
+        report = check_hom_identities(ops[z], ops[s], ops[t])
+        assert (report.hypotheses_ok, report.failed_hypotheses) == (False, failed)
+        assert report.modulus_identity is None and report.meet_identity is None
+
     def test_non_contraction_argument_reports_hypothesis_violation(self, two_point):
         z = MatrixOperator.identity(two_point)
         big = MatrixOperator.identity(two_point) * 3

@@ -15,6 +15,7 @@ import dominion
 from dominion import (
     MatrixOperator,
     Verdict,
+    VerdictReport,
     random_commuting_family,
     random_dominated_pair,
     random_positive_contraction,
@@ -28,12 +29,14 @@ from dominion.bundles import (
     bundle_for_pair,
     decimal_str,
     emit_bundle,
+    load_bundle,
     parse_bundle,
     rational_str,
     save_bundle,
 )
 from dominion.cli import build_parser, main
-from dominion.theorems import check_damped_powers, find_epsilon_certificate
+from dominion.sweeps import meet_bound_instance
+from dominion.theorems import INTERNAL_INCONSISTENCY_NOTE, check_damped_powers, find_epsilon_certificate
 
 from conftest import noncommuting_t_pairs, ref_decimal_str
 
@@ -240,6 +243,57 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match="role 'T'"):
             bundle.operator_for_role("T")
 
+    @pytest.mark.parametrize("doc, where, raw", [
+        ({"space": {"weights": ["1/0"]}}, "space.weights[0]", "1/0"),
+        ({"space": {"weights": ["1", "1"]}, "operators": {"T": {"rows": [["1", "0"], ["0", "7/0"]]}}},
+         "operators.T.rows[1][1]", "7/0"),
+        ({"space": {"weights": ["1"]}, "params": {"epsilon": "1/0"}}, "params.epsilon", "1/0"),
+    ])
+    def test_zero_denominators_are_rejected_with_their_location(self, doc, where, raw):
+        with pytest.raises(BundleError) as raised:
+            parse_bundle(json.dumps(doc))
+        assert str(raised.value) == f"{where}: expected a rational p/q with q != 0, got {raw!r}"
+
+
+def _t_bundle(**fields) -> str:
+    """A 1-point bundle with the operator T, its top-level fields replaced by ``fields``."""
+    return json.dumps({"space": {"weights": ["1"]}, "operators": {"T": {"rows": [["1/2"]]}}, **fields})
+
+
+# Each bundle error: the bundle text, the command that reads it and the exact
+# message; every case exits 3 with nothing on stdout.
+BUNDLE_ERRORS = {
+    "not-json": ("{", "trace",
+                 "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "top-level": ("[]", "trace", "top level: expected an object"),
+    "empty-weights": ('{"space": {"weights": []}}', "trace", "space.weights: expected a non-empty list"),
+    "bad-weight": ('{"space": {"weights": ["1", "0"]}}', "trace",
+                   "space.weights: all weights must be strictly positive"),
+    "zero-weight-denominator": ('{"space": {"weights": ["1/0"]}}', "trace",
+                                "space.weights[0]: expected a rational p/q with q != 0, got '1/0'"),
+    "zero-entry-denominator": (_t_bundle(operators={"T": {"rows": [["1/0"]]}}), "trace",
+                               "operators.T.rows[0][0]: expected a rational p/q with q != 0, got '1/0'"),
+    "operators": (_t_bundle(operators=[]), "trace", "operators: expected an object"),
+    "roles": (_t_bundle(roles={"T": 1}), "trace", "roles: expected an object of strings"),
+    "params": (_t_bundle(params=[]), "trace", "params: expected an object"),
+    "zero-param-denominator": (_t_bundle(params={"epsilon": "1/0"}), "certify",
+                               "params.epsilon: expected a rational p/q with q != 0, got '1/0'"),
+    "param-int": (_t_bundle(params={"k": "1/2"}), "trace", "params.k: expected an integer, got '1/2'"),
+    "param-rational": (_t_bundle(params={"epsilon": [1]}), "certify",
+                       "params.epsilon: expected a rational, got [1]"),
+    "param-int-list": (_t_bundle(params={"n0": "1/2"}), "check damped-powers",
+                       "params.n0: expected an integer list, got '1/2'"),
+}
+
+
+@pytest.mark.parametrize("case", BUNDLE_ERRORS)
+def test_bundle_errors_exit_3_with_their_message(tmp_path, capsys, case):
+    text, command, message = BUNDLE_ERRORS[case]
+    path = tmp_path / "bad.bundle"
+    path.write_text(text)
+    assert main([*command.split(), str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCheckCommand:
     def test_damped_powers_verified(self, gap_bundle_path, capsys):
@@ -373,6 +427,39 @@ class TestCheckCommand:
 
     def test_bad_flag_is_input_error(self, gap_bundle_path, capsys):
         assert main(["check", "damped-powers", gap_bundle_path, "--n0", "x"]) == 3
+
+    def test_non_integer_n_max_is_input_error(self, gap_bundle_path, capsys):
+        assert main(["check", "damped-powers", gap_bundle_path, "--n-max", "x"]) == 3
+        assert capsys.readouterr() == ("", "error: --n-max: expected an integer, got 'x'\n")
+
+    def test_family_grid_without_pairs_is_input_error(self, averaging_bundle_path, capsys):
+        assert main(["check", "family-grid", averaging_bundle_path]) == 3
+        assert capsys.readouterr() == ("", "error: family-grid needs roles S1/T1 (and onward)\n")
+
+    def test_family_grid_reads_five_past_each_base_exponent_by_default(self, gap_bundle_path, capsys):
+        assert main(["check", "family-grid", gap_bundle_path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("command: family-grid(n0=[2, 2], m_max=[7, 7])\n")
+        assert "conclusion range: 2..7, 2..7\n" in out
+
+    def test_falsified_report_names_its_failure_and_note(self, gap_bundle_path, monkeypatch, capsys):
+        """The statements never fail, so a walk that yields the point (1, 3)
+        past the base stands in: the report names n = 3, with norm 1, and
+        the note, in text and in ``--json``."""
+        monkeypatch.setattr(dominion.theorems, "_unit_gap_points", lambda *args: iter([(1, 3)]))
+        argv = ["check", "pair-product", gap_bundle_path, "--n0", "1", "--n-max", "3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.endswith(
+            "base gap norm: 5/6 (0.833333333333)\n"
+            "failure at (3) with norm 1/1 (1)\n"
+            f"note: {INTERNAL_INCONSISTENCY_NOTE}\n"
+            "verdict: FALSIFIED\n"
+        )
+        assert main([*argv, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [doc[key] for key in ("failure_point", "failure_norm", "notes", "verdict")] == [
+            [3], "1/1", [INTERNAL_INCONSISTENCY_NOTE], "FALSIFIED"
+        ]
 
     def test_missing_bundle_file(self):
         assert main(["check", "damped-powers", "/no/such/file.bundle"]) == 3
@@ -612,6 +699,28 @@ class TestSweepCommand:
         replayed = parse_bundle(open(path).read())
         assert replayed.operator_for_role("S") == pair.s
         assert replayed.operator_for_role("T") == pair.t
+
+    @pytest.mark.parametrize("kind", ["pair-product", "meet-bound"])
+    def test_each_payload_dumps_a_bundle_that_reloads_equal(self, tmp_path, monkeypatch, capsys, kind):
+        """A forced FALSIFIED check (the statements never fail) makes the
+        sweep write a replay bundle of its payload, a ``CommutingFamily`` or
+        ``(Z, T, m, k)``, whose operators and params reload equal."""
+        falsified = VerdictReport("c", (), Verdict.FALSIFIED, failure_point=(2,), failure_norm=Fraction(1))
+        checker = "check_pair_product" if kind == "pair-product" else "check_meet_bound"
+        monkeypatch.setattr(dominion.sweeps, checker, lambda *args: falsified)
+        assert main(["sweep", kind, "--count", "1", "--n", "3", "--seed", "5", "--out", str(tmp_path)]) == 1
+        path = tmp_path / f"sweep-{kind}-seed5.bundle"
+        if kind == "pair-product":
+            family = random_commuting_family(5, 2, 3, degree=2)
+            operators = {f"{x}{i}": getattr(p, x.lower()) for i, p in enumerate(family.pairs, 1) for x in "ST"}
+            params, description = {"n0": list(family.base_exponents)}, "gap norm 1 at n = (2,)"
+        else:
+            z, t, m, k = meet_bound_instance(5, 3)
+            operators, params = {"T": t, "Z": z}, {"m": m, "k": k}
+            description = f"conclusion norm 1 (m={m}, k={k})"
+        assert capsys.readouterr().out.endswith(f"FAILURE seed 5: {description}; replay bundle: {path}\n")
+        replayed = load_bundle(str(path))
+        assert (replayed.operators, replayed.params) == (operators, params)
 
     def test_unwritable_replay_bundle_keeps_falsified_exit(self, tmp_path, monkeypatch, capsys):
         import dominion.cli

@@ -80,6 +80,26 @@ def state_steps(monkeypatch):
     return pairs
 
 
+@pytest.fixture
+def walk_reads(monkeypatch):
+    """The box of each power-gap walk that its checker read past the base
+    point, recorded: a lazy walk's points start only on the first read."""
+    reads = []
+    grid_gaps = _grid_gaps
+
+    def recorded(s_factors, t_factors, n0s, m_max):
+        base, points = grid_gaps(s_factors, t_factors, n0s, m_max)
+
+        def read():
+            reads.append((tuple(n0s), tuple(m_max)))
+            yield from points
+
+        return base, read()
+
+    monkeypatch.setattr(dominion.theorems, "_grid_gaps", recorded)
+    return reads
+
+
 class TestDominatedPair:
     def test_valid_pair_builds(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)
@@ -173,6 +193,44 @@ class TestCommutingFamily:
             CommutingFamily(pairs=(pair,), base_exponents=(0,))
         with pytest.raises(HypothesisViolation):
             CommutingFamily(pairs=(pair,), base_exponents=(1, 1))
+
+
+def _other_identity():
+    return MatrixOperator.identity(MeasureSpace((1,)))
+
+
+# Each argument check no other test reaches, called on 2-point operators i:
+# the call, the exception and its exact message.
+ARGUMENT_ERRORS = {
+    "meet-bound-m": (lambda i: check_meet_bound(i, i, -1, 1), ValueError, "m must be >= 0"),
+    "meet-bound-k": (lambda i: check_meet_bound(i, i, 0, 0), ValueError, "k must be >= 1"),
+    "trace-k": (lambda i: zero_two_trace(i, i, 0, 1, 3), ValueError, "require k >= 1 and d >= 1"),
+    "trace-d": (lambda i: zero_two_trace(i, i, 1, 0, 3), ValueError, "require k >= 1 and d >= 1"),
+    "trace-n-max": (lambda i: zero_two_trace(i, i, 1, 1, -1), ValueError, "n_max must be >= 0"),
+    "certificate-m": (lambda i: find_epsilon_certificate(i, i, -1, 1, "1/2"), ValueError,
+                      "require m >= 0 and k >= 1"),
+    "certificate-k": (lambda i: find_epsilon_certificate(i, i, 0, 0, "1/2"), ValueError,
+                      "require m >= 0 and k >= 1"),
+    "certificate-d-cap": (lambda i: find_epsilon_certificate(i, i, 0, 1, "1/2", d_cap=0), ValueError,
+                          "caps must allow at least one candidate"),
+    "certificate-n0-cap": (lambda i: find_epsilon_certificate(i, i, 0, 1, "1/2", n0_cap=-1), ValueError,
+                           "caps must allow at least one candidate"),
+    "family-without-pairs": (lambda i: CommutingFamily((), ()), HypothesisViolation,
+                             "a commuting family needs at least one pair"),
+    "family-on-two-spaces": (
+        lambda i: CommutingFamily((DominatedPair(i, i), DominatedPair(*[_other_identity()] * 2)), (1, 1)),
+        HypothesisViolation, "family members live on different spaces",
+    ),
+    "sweep-count": (lambda i: sweep_meet_bound(0), ValueError, "count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_argument_errors_carry_their_exact_message(identity2, case):
+    call, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call(identity2)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestPairProduct:
@@ -279,9 +337,15 @@ FALSIFIED_CONSERVATIVE = (
 )
 
 
+def walk(*args):
+    """``_grid_gaps(*args)`` with its lazy points read out: ``(base, points)``."""
+    base, points = _grid_gaps(*args)
+    return base, list(points)
+
+
 class TestExponentBox:
     """``_grid_gaps`` alone checks the exponent box, before any gap is
-    reported, and walks it with one step of the state's two rows, ``Zl`` and
+    measured, and walks it with one step of the state's two rows, ``Zl`` and
     ``Zc``, per prefix point of the box it reaches before ``Zl`` empties."""
 
     def test_every_power_gap_checker_shares_the_grid_cap(self, gap_pair, identity2, monkeypatch):
@@ -299,7 +363,7 @@ class TestExponentBox:
         """A shorter list would otherwise leave ``zip`` walking a shorter product."""
         s_factors, t_factors, n0s = ([x] * k for x, k in zip((gap_pair.s, gap_pair.t, 1), lengths))
         with pytest.raises(ValueError, match="one S factor, one T factor and one base exponent"):
-            next(_grid_gaps(s_factors, t_factors, n0s, [2] * 3))
+            _grid_gaps(s_factors, t_factors, n0s, [2] * 3)
 
     @pytest.mark.parametrize("family, n0s, m_max, steps", [
         ("random", (1, 1, 1), (30, 5, 5), 3),
@@ -315,7 +379,7 @@ class TestExponentBox:
         gap 1. Every column of the conservative family's S products keeps
         its full mass, so the walk steps every prefix point of the box, and
         the zero middle column of ``T_3``, the last factor of every T
-        product, gives every point gap 1."""
+        product, gives every point gap 1, the base point too."""
         if family == "random":
             pairs = random_commuting_family(2, 3, 3, degree=2, denom_cap=64).pairs
             s_factors, t_factors = [p.s for p in pairs], [p.t for p in pairs]
@@ -323,9 +387,9 @@ class TestExponentBox:
             space = MeasureSpace((1, 1, 1))
             s_factors = [MatrixOperator(space, rows) for rows in (S1, S2, S3)]
             t_factors = [MatrixOperator(space, rows) for rows in (T1, T2, T3)]
-        points = [p for p, _, _ in _grid_gaps(s_factors, t_factors, n0s, m_max)]
+        base, points = walk(s_factors, t_factors, n0s, m_max)
         box = list(itertools.product(*map(range, n0s, (m + 1 for m in m_max))))
-        assert points == (box if family == "conservative" else box[:1])
+        assert (base == 1, points) == ((True, box[1:]) if family == "conservative" else (False, []))
         assert len(state_steps) == steps
 
 
@@ -406,16 +470,13 @@ def assert_walk_yields_unit_gaps(args, ref):
     """``_grid_gaps(*args)`` against ``ref``, the exact gap at every point of
     the box in lexicographic order, on contractions S_i with ``0 <= T_i <=
     S_i``. By the support lemma of ``_grid_gaps`` every gap past the base
-    point is at most 1, and the walk yields the base point with its exact
-    gap, then exactly the later points of gap 1, in order, each as
-    ``(point, 1, 1)``: the first failure is the first one yielded. Returns
-    the yields."""
-    got = list(_grid_gaps(*args))
-    (point, num, den), *rest = got
-    assert (point, Fraction(num, den)) == ref[0]
+    point is at most 1, and the walk returns the exact base gap and then
+    yields exactly the later points of gap 1, in order: the first failure
+    is the first one yielded."""
+    base, points = walk(*args)
+    assert (tuple(args[2]), base) == ref[0]
     assert all(gap <= 1 for _, gap in ref[1:])
-    assert rest == [(p, 1, 1) for p, gap in ref[1:] if gap >= 1]
-    return got
+    assert points == [p for p, gap in ref[1:] if gap == 1]
 
 
 class TestPowerGapKernel:
@@ -463,29 +524,19 @@ class TestPowerGapKernel:
         assert s1 @ s2 != s2 @ s1 and s1 @ s1 == s1
         assert (s1 @ s2).norm() == 1 and (s2 @ s1).norm() == HALF
         box = list(itertools.product((1, 2), repeat=2))
-        assert list(_grid_gaps([s1, s2], [zero, zero], (1, 1), (2, 2))) == [(p, 1, 1) for p in box]
-        assert list(_grid_gaps([s2, s1], [zero, zero], (1, 1), (2, 2))) == [((1, 1), 1, 2)]
-
-    @pytest.mark.parametrize("t_rows", [((1, -1), (0, 0)), ((2, 0), (0, 0))], ids=["signed", "above-s"])
-    def test_walk_rejects_factors_outside_zero_to_s(self, t_rows):
-        space = MeasureSpace((1, 2))
-        s = MatrixOperator.identity(space)
-        gaps = _grid_gaps([s, s], [s, MatrixOperator(space, t_rows)], (1, 1), (1, 3))
-        next(gaps)  # the base gap is measured whatever the factors
-        with pytest.raises(ValueError, match="factor pair 2 breaks 0 <= T <= S"):
-            next(gaps)
+        assert walk([s1, s2], [zero, zero], (1, 1), (2, 2)) == (1, box[1:])
+        assert walk([s2, s1], [zero, zero], (1, 1), (2, 2)) == (HALF, [])
 
     def test_a_misjudged_point_is_an_internal_inconsistency(self, monkeypatch):
         """Each yielded point is measured again with ``distance``: a gap other
         than 1 there means the support walk is wrong."""
         args = walk_args(FALSIFIED_CONSERVATIVE[0])
-        assert list(_grid_gaps(*args))[1:3] == [((2, 1), 1, 1), ((2, 2), 1, 1)]
-        gaps = _grid_gaps(*args)
-        next(gaps)
+        assert walk(*args)[1][:2] == [(2, 1), (2, 2)]
+        _, points = _grid_gaps(*args)
         distance = MatrixOperator.distance
         monkeypatch.setattr(MatrixOperator, "distance", lambda a, b: distance(a, b) * HALF)
         with pytest.raises(InternalConsistencyError, match=r"at \(2, 1\)"):
-            next(gaps)
+            next(points)
 
     @settings(max_examples=30)
     @given(undominated_case(), st.integers(min_value=1, max_value=3))
@@ -506,14 +557,71 @@ class TestPowerGapKernel:
             ref_compose(a, ref_power(x, n0)), ref_compose(a, ref_power(y, n0))
         ))),)
 
+    # Each checker call on 2 uniform points, and the hypothesis its report
+    # fails. Only the base-gap cases also fail "base gap norm < 1".
+    UNMET = {
+        "pair-product-signed": ("pair", ("signed", "0", "I/2", "I/2"), "T1 positive"),
+        "pair-product-undominated": ("pair", ("I", "I/2", "I/2", "I/2"), "S1 dominates T1"),
+        "pair-product-non-contraction": ("pair", ("0", "I/4", "big", "I/4"), "S1 contraction"),
+        "pair-product-non-commuting": ("pair", ("0", "0", "up", "down"), "S1 S2 = S2 S1"),
+        "pair-product-base-gap": ("pair", ("0", "0", "I", "I"), "base gap norm < 1"),
+        "damped-powers-signed": ("damped", ("-I/2", "I/2", "0"), "Z positive"),
+        "damped-powers-undominated": ("damped", ("I", "I/2", "I"), "S dominates T"),
+        "damped-powers-non-contraction": ("damped", ("I/4", "big", "0"), "S contraction"),
+        "damped-powers-non-commuting": ("damped", ("up", "down", "0"), "Z S = S Z"),
+        "damped-powers-base-gap": ("damped", ("I", "I", "0"), "base gap norm < 1"),
+        "family-grid-base-gap": ("grid", ("I", "0"), "base gap norm < 1"),
+    }
+
+    @staticmethod
+    def run_checker(space, checker, names):
+        identity = MatrixOperator.identity(space)
+        ops = {
+            "I": identity, "I/2": identity / 2, "I/4": identity / 4, "-I/2": identity * Fraction(-1, 2),
+            "0": MatrixOperator.zero(space), "big": MatrixOperator(space, ((2, 0), (0, HALF))),
+            "signed": MatrixOperator(space, ((0, "-1/2"), (0, 0))),
+            "up": MatrixOperator(space, ((0, HALF), (0, 0))),
+            "down": MatrixOperator(space, ((0, 0), (HALF, 0))),
+        }
+        args = [ops[name] for name in names]
+        if checker == "pair":
+            return check_pair_product(*args, 1, 3)
+        if checker == "damped":
+            return check_damped_powers(*args, 1, 3)
+        return check_family_grid(CommutingFamily((DominatedPair(*args),), (1,)), (3,))
+
+    @pytest.mark.parametrize("case", UNMET)
+    def test_unmet_reports_never_advance_the_walk(self, walk_reads, two_point, case):
+        """The walk's support lemma needs ``0 <= T_i <= S_i`` with S_i a
+        contraction, which it no longer checks: no HYPOTHESIS_UNMET report
+        reads a point past the base, whichever line fails."""
+        checker, names, failed = self.UNMET[case]
+        report = self.run_checker(two_point, checker, names)
+        assert report.verdict is Verdict.HYPOTHESIS_UNMET
+        assert failed in [h.name for h in report.failed_hypotheses()]
+        assert (failed == "base gap norm < 1") == (dict(report.values)["base gap norm"] >= 1)
+        assert walk_reads == []
+
+    @pytest.mark.parametrize("checker, names", [
+        ("pair", ("0", "0", "I/2", "I/2")), ("damped", ("I", "I/2", "0")), ("grid", ("I/2", "0")),
+    ])
+    def test_verified_reports_read_the_walk(self, walk_reads, two_point, checker, names):
+        """The control of the test above: the wrapped walk records a read."""
+        assert self.run_checker(two_point, checker, names).verdict is Verdict.VERIFIED
+        assert walk_reads == [((1, 1), (1, 3)) if checker != "grid" else ((1,), (3,))]
+
     def test_report_names_the_first_gap_of_norm_one_or_more(self):
-        gaps = [((1, 1), 1, 2), ((1, 2), 3, 3), ((2, 1), 3, 1)]
-        report = _power_gap_report("c", [], iter(gaps), ((1, 2), (1, 2)))
+        """Every point the walk yields has gap 1: the report names the first,
+        and reads none once the base gap is 1 or more."""
+        points = [(1, 2), (2, 1)]
+        report = _power_gap_report("c", [], HALF, iter(points), ((1, 2), (1, 2)))
         assert report.verdict is Verdict.FALSIFIED
         assert (report.failure_point, report.failure_norm) == ((1, 2), 1)
-        assert report.values == (("base gap norm", Fraction(1, 2)),)
-        unmet = _power_gap_report("c", [], iter(gaps[1:]), ((1, 2), (1, 2)))
+        assert report.values == (("base gap norm", HALF),)
+        unread = iter(points)
+        unmet = _power_gap_report("c", [], Fraction(1), unread, ((1, 2), (1, 2)))
         assert unmet.verdict is Verdict.HYPOTHESIS_UNMET and unmet.failure_point is None
+        assert list(unread) == points
 
 
 class TestRowWalkAtWorkloadScale:
@@ -593,7 +701,7 @@ class TestConservativeRegime:
 
     @staticmethod
     def report(args):
-        return _power_gap_report("c", [], _grid_gaps(*args), tuple(zip(*args[2:])))
+        return _power_gap_report("c", [], *_grid_gaps(*args), tuple(zip(*args[2:])))
 
     @settings(max_examples=60)
     @given(conservative_case())
@@ -725,10 +833,10 @@ class TestLeakDepth:
         verdict is the matrix walk's, whose gaps are all below 1."""
         s_factors, t_factors, n0s, _ = walk_args(MIXED)
         assert [support_rows(s, t, 4)[-1][0] for s, t in zip(s_factors, t_factors)] == [1, 2]
-        got = list(_grid_gaps(s_factors, t_factors, n0s, (100, 100)))
+        got = walk(s_factors, t_factors, n0s, (100, 100))
         assert len(state_steps) == 200
         ref = matrix_grid_gaps(s_factors, t_factors, n0s, (100, 100))
-        assert got == [((1, 1), ref[0][1].numerator, ref[0][1].denominator)]
+        assert got == (ref[0][1], [])
         assert max(gap for _, gap in ref) < 1
         pairs = tuple(DominatedPair(s, t) for s, t in zip(s_factors, t_factors))
         report = check_family_grid(CommutingFamily(pairs, (1, 1)), (100, 100))
@@ -740,23 +848,9 @@ class TestLeakDepth:
             (first, _), (second, _) = support_rows(pair.s, pair.t, 2)
             assert first and not second
 
-    def test_a_non_contraction_raises_after_the_base_gap(self):
-        """``diag(2, 1/2)`` has gap 2^n from 0: outside the support lemma, so
-        the walk measures the base gap and then refuses the factors, on any
-        axis."""
-        space = MeasureSpace((1, 1))
-        s = MatrixOperator(space, ((2, 0), (0, HALF)))
-        half, zero = MatrixOperator.identity(space) / 2, MatrixOperator.zero(space)
-        for s_factors, base_gap in (([s], (2, 1)), ([half, s], (1, 1))):
-            axes = len(s_factors)
-            gaps = _grid_gaps(s_factors, [zero] * axes, [1] * axes, [3] * axes)
-            assert next(gaps)[1:] == base_gap
-            with pytest.raises(ValueError, match=f"factor pair {axes} breaks .* with S a contraction"):
-                next(gaps)
-
     def test_checkers_report_the_refused_factors_as_unmet(self):
-        """The checkers' hypotheses imply the walk's guard, so they report
-        the factors it refuses as HYPOTHESIS_UNMET and never walk them."""
+        """Factors outside the support lemma, a non-contraction S or T above
+        S, fail the checkers' hypotheses: HYPOTHESIS_UNMET."""
         space = MeasureSpace((1, 1))
         identity, zero = MatrixOperator.identity(space), MatrixOperator.zero(space)
         non_contraction = MatrixOperator(space, ((2, 0), (0, HALF)))
@@ -767,16 +861,6 @@ class TestLeakDepth:
             report = check_damped_powers(identity, s, t, 1, 3)
             assert report.verdict is Verdict.HYPOTHESIS_UNMET
             assert failed in [h.name for h in report.failed_hypotheses()]
-
-    @pytest.mark.parametrize("n0", [1, 2])
-    def test_a_pair_outside_zero_to_s_raises_though_s_leaks(self, n0):
-        space = MeasureSpace((1, 1))
-        half, identity = MatrixOperator.identity(space) / 2, MatrixOperator.identity(space)
-        assert _support_pair(half, half)[0] == 0
-        gaps = _grid_gaps([half], [identity], (n0,), (3,))
-        next(gaps)  # the base gap is measured whatever the factors
-        with pytest.raises(ValueError, match="factor pair 1 breaks 0 <= T <= S"):
-            next(gaps)
 
     def test_grid_cap_is_judged_on_the_requested_box(self, gap_pair):
         pair = DominatedPair(s=gap_pair.s, t=gap_pair.t)

@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .core import MatrixOperator, MeasureSpace, rat, unlimited_int_digits
+from .core import MatrixOperator, MeasureSpace, unlimited_int_digits
 from .theorems import CommutingFamily, DominatedPair
 
 __all__ = [
     "BundleError",
     "OperatorBundle",
     "rational_str",
+    "rational_pair",
     "decimal_str",
     "parse_bundle",
     "emit_bundle",
@@ -102,12 +103,13 @@ class OperatorBundle:
             return value
         raise BundleError(f"params.{name}: expected an integer, got {value!r}")
 
+    @unlimited_int_digits
     def param_rational(self, name: str, default: Fraction | None = None) -> Fraction | None:
         value = self.params.get(name)
         if value is None:
             return default
         if isinstance(value, (int, str)):
-            return _parse_rational(value, f"params.{name}")
+            return Fraction(*_rational(value, "params.{}", name))
         raise BundleError(f"params.{name}: expected a rational, got {value!r}")
 
     def param_int_list(self, name: str, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
@@ -121,7 +123,35 @@ class OperatorBundle:
         raise BundleError(f"params.{name}: expected an integer list, got {value!r}")
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_PAIR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def rational_pair(raw: object) -> tuple[int, int]:
+    """``(p, q)`` of a JSON integer or a string matching ``-?[0-9]+(/[0-9]+)?``,
+    unreduced. Anything else raises ``ValueError``, and ``q == 0`` raises
+    ``ZeroDivisionError``."""
+    if raw.__class__ is int:
+        return raw, 1
+    match = _PAIR.fullmatch(raw) if raw.__class__ is str else None
+    if match is None:
+        raise ValueError(raw)
+    p, q = match.groups("1")
+    q = int(q)
+    if not q:
+        raise ZeroDivisionError(raw)
+    return int(p), q
+
+
+def _rational(raw: object, where: str, *args: object) -> tuple[int, int]:
+    """``rational_pair(raw)``, or a ``BundleError`` at the location
+    ``where.format(*args)``, which is built only then."""
+    try:
+        return rational_pair(raw)
+    except ValueError:
+        expected = "an integer or a \"p/q\" string"
+    except ZeroDivisionError:
+        expected = "a rational p/q with q != 0"
+    raise BundleError(f"{where.format(*args)}: expected {expected}, got {raw!r}")
 
 
 def _reject_float(text: str) -> None:
@@ -130,30 +160,27 @@ def _reject_float(text: str) -> None:
     )
 
 
-class _Object(dict):
-    """A decoded JSON object; ``duplicate`` names a key it held twice."""
-
-    duplicate: str | None = None
-
-
-def _object(pairs: list[tuple[str, object]]) -> _Object:
-    obj = _Object(pairs)
+def _unique(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key held twice raises ``KeyError``."""
+    obj = dict(pairs)
     if len(obj) != len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                obj.duplicate = key
-                break
-            seen.add(key)
+        raise KeyError
     return obj
 
 
+class _Pairs(list):
+    """A decoded JSON object as its ``(key, value)`` pairs, repeats kept."""
+
+
 def _reject_duplicate_keys(node: object, where: str) -> None:
-    if isinstance(node, _Object):
+    if isinstance(node, _Pairs):
         prefix = f"{where}." if where else ""
-        if node.duplicate is not None:
-            raise BundleError(f"{prefix}{node.duplicate}: duplicate key")
-        for key, value in node.items():
+        seen: set[str] = set()
+        for key, _ in node:
+            if key in seen:
+                raise BundleError(f"{prefix}{key}: duplicate key")
+            seen.add(key)
+        for key, value in node:
             _reject_duplicate_keys(value, prefix + key)
     elif isinstance(node, list):
         for i, value in enumerate(node):
@@ -164,27 +191,15 @@ def _is_int(raw: object) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def _is_rational(raw: object) -> bool:
-    """A JSON integer, or a string in the rational grammar."""
-    return _is_int(raw) or (isinstance(raw, str) and _RATIONAL.fullmatch(raw) is not None)
-
-
-def _parse_rational(raw: object, where: str) -> Fraction:
-    if not _is_rational(raw):
-        raise BundleError(f"{where}: expected an integer or a \"p/q\" string, got {raw!r}")
-    try:
-        return rat(raw)
-    except ZeroDivisionError:
-        raise BundleError(f"{where}: expected a rational p/q with q != 0, got {raw!r}") from None
-
-
 @unlimited_int_digits
 def parse_bundle(text: str) -> OperatorBundle:
     try:
-        doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_object)
+        try:
+            doc = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique)
+        except KeyError:  # decode again, keeping repeats, to locate the first in document order
+            _reject_duplicate_keys(json.loads(text, parse_float=_reject_float, object_pairs_hook=_Pairs), "")
     except json.JSONDecodeError as exc:
         raise BundleError(f"not valid JSON: {exc}") from None
-    _reject_duplicate_keys(doc, "")
     if not isinstance(doc, dict):
         raise BundleError("top level: expected an object")
 
@@ -194,9 +209,7 @@ def parse_bundle(text: str) -> OperatorBundle:
     weights_raw = space_doc["weights"]
     if not isinstance(weights_raw, list) or not weights_raw:
         raise BundleError("space.weights: expected a non-empty list")
-    weights = tuple(
-        _parse_rational(w, f"space.weights[{i}]") for i, w in enumerate(weights_raw)
-    )
+    weights = tuple(Fraction(*_rational(w, "space.weights[{}]", i)) for i, w in enumerate(weights_raw))
     try:
         space = MeasureSpace(weights)
     except ValueError as exc:
@@ -207,21 +220,17 @@ def parse_bundle(text: str) -> OperatorBundle:
         raise BundleError("operators: expected an object")
     operators: dict[str, MatrixOperator] = {}
     for name, op_doc in operators_doc.items():
-        where = f"operators.{name}"
         if not isinstance(op_doc, dict) or "rows" not in op_doc:
-            raise BundleError(f"{where}.rows: missing")
+            raise BundleError(f"operators.{name}.rows: missing")
         rows_raw = op_doc["rows"]
         if not isinstance(rows_raw, list) or len(rows_raw) != space.n:
-            raise BundleError(f"{where}.rows: expected {space.n} rows")
+            raise BundleError(f"operators.{name}.rows: expected {space.n} rows")
         rows = []
         for i, row_raw in enumerate(rows_raw):
             if not isinstance(row_raw, list) or len(row_raw) != space.n:
-                raise BundleError(f"{where}.rows[{i}]: expected {space.n} entries")
-            rows.append(tuple(
-                _parse_rational(q, f"{where}.rows[{i}][{j}]")
-                for j, q in enumerate(row_raw)
-            ))
-        operators[name] = MatrixOperator(space, tuple(rows))
+                raise BundleError(f"operators.{name}.rows[{i}]: expected {space.n} entries")
+            rows.append([_rational(q, "operators.{}.rows[{}][{}]", name, i, j) for j, q in enumerate(row_raw)])
+        operators[name] = MatrixOperator._from_pairs(space, rows)
 
     roles_doc = doc.get("roles", {})
     if not isinstance(roles_doc, dict) or not all(
@@ -236,14 +245,14 @@ def parse_bundle(text: str) -> OperatorBundle:
     if not isinstance(params_doc, dict):
         raise BundleError("params: expected an object")
     for key, value in params_doc.items():
-        if _is_rational(value):
-            _parse_rational(value, f"params.{key}")  # a zero denominator fails here, not when read
-            continue
         if isinstance(value, list) and all(_is_int(v) for v in value):
             continue
-        raise BundleError(
-            f"params.{key}: expected an integer, rational string, or integer list"
-        )
+        try:
+            rational_pair(value)
+        except ZeroDivisionError:  # fails here, not when read
+            _rational(value, "params.{}", key)
+        except ValueError:
+            raise BundleError(f"params.{key}: expected an integer, rational string, or integer list") from None
 
     return OperatorBundle(
         space=space,

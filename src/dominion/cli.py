@@ -30,6 +30,7 @@ from .bundles import (
     decimal_str,
     emit_bundle,
     load_bundle,
+    rational_pair,
     rational_str,
     save_bundle,
 )
@@ -435,11 +436,11 @@ def _n_max_int(args, default: int) -> int:
 
 
 def _rational_flag(flag: str):
-    """argparse ``type`` of a rational flag: a bad value is an input error
-    that names the flag."""
+    """argparse ``type`` of a rational flag, in the grammar of bundle
+    rationals: a bad value is an input error that names the flag."""
     def parse(raw: str) -> Fraction:
         try:
-            return Fraction(raw)
+            return Fraction(*rational_pair(raw))
         except (ValueError, ZeroDivisionError):
             raise CliInputError(f"{flag}: expected a rational p/q with q != 0, got {raw!r}") from None
 

@@ -253,6 +253,13 @@ class MatrixOperator:
         _set(op, "_entries", None)
         return op
 
+    @classmethod
+    def _from_pairs(cls, space: MeasureSpace, rows: list[list[tuple[int, int]]]) -> MatrixOperator:
+        """The operator whose entries p/q, ``q > 0``, are given as rows of
+        ``(p, q)`` pairs, reduced or not."""
+        den = math.lcm(*(q for row in rows for _, q in row))
+        return cls._from_numerators(space, tuple(tuple(p * (den // q) for p, q in row) for row in rows), den)
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable operator")
 

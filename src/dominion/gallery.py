@@ -215,13 +215,6 @@ def random_rational(rng: Random, cap: int) -> Fraction:
     return Fraction(*_random_pair(rng, cap))
 
 
-def _from_pairs(space: MeasureSpace, rows: list[list[tuple[int, int]]]) -> MatrixOperator:
-    """The operator whose entries p/q are given as rows of ``(p, q)`` pairs."""
-    den = math.lcm(*(q for row in rows for _, q in row))
-    num = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
-    return MatrixOperator._from_numerators(space, num, den)
-
-
 def random_space(rng: Random, n: int) -> MeasureSpace:
     """Random weights in [1/4, 4] with denominators at most 4."""
     return MeasureSpace(tuple(
@@ -296,7 +289,7 @@ def random_signed_operator(
         [(1 if rng.random() < 0.5 else -1, *_random_pair(rng, cap)) for _ in range(n)]
         for _ in range(n)
     ]
-    return _from_pairs(space, [[(sign * p, q) for sign, p, q in row] for row in rows])
+    return MatrixOperator._from_pairs(space, [[(sign * p, q) for sign, p, q in row] for row in rows])
 
 
 def random_dominated_pair(
@@ -312,7 +305,7 @@ def random_dominated_pair(
     rng, cap = _seeded(seed, n, denom_cap)
     space = random_space(rng, n)
     s = _positive_contraction(rng, space, density, cap)
-    damping = _from_pairs(space, [[_random_pair(rng, cap) for _ in range(n)] for _ in range(n)])
+    damping = MatrixOperator._from_pairs(space, [[_random_pair(rng, cap) for _ in range(n)] for _ in range(n)])
     return DominatedPair(s=s, t=s.hadamard(damping))
 
 
@@ -339,8 +332,8 @@ def random_commuting_family(
     rng, cap = _seeded(seed, n, denom_cap)
     space = random_space(rng, n)
     base = _positive_contraction(rng, space, 1.0, cap)
-    base_powers = [MatrixOperator.identity(space)]
-    for _ in range(degree):
+    base_powers = [MatrixOperator.identity(space), base][: degree + 1]
+    for _ in range(degree - 1):
         base_powers.append(base_powers[-1] @ base)
 
     pairs: list[DominatedPair] = []

@@ -15,7 +15,9 @@ base point the walk must yield exactly its points of gap 1.
 never stops an axis early; and ``ref_zero_two_trace`` is the ``t @ current``
 operator walk that the integer column walk of ``zero_two_trace`` replaces.
 ``ref_decimal_str`` divides the two full ``Decimal`` conversions that
-``decimal_str``'s one integer quotient replaces. The ``ref_random_*`` generators are the ``Fraction``-entry
+``decimal_str``'s one integer quotient replaces, and ``ref_parse_bundle`` is
+the per-entry ``Fraction`` parse, with a duplicate-key walk over every
+decoded node, that ``parse_bundle``'s integer pairs replace. The ``ref_random_*`` generators are the ``Fraction``-entry
 construction that the gallery's integer-numerator draws replace. The weighted
 2-norm has two oracles: ``ref_l2_compare`` decides it from determinants
 instead of elimination, and ``sigma_max_uniform_2x2`` approximates it in
@@ -34,7 +36,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import json
 import operator
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
@@ -43,6 +47,8 @@ import pytest
 from hypothesis import settings
 
 from dominion import DominatedPair, L1Vector, MatrixOperator, MeasureSpace, unit_gap_pair
+from dominion.bundles import BundleError, OperatorBundle
+from dominion.core import unlimited_int_digits
 
 settings.register_profile("tier1", derandomize=True, database=None, max_examples=50, deadline=None)
 settings.load_profile("tier1")
@@ -451,3 +457,113 @@ def sigma_max_uniform_2x2(a: MatrixOperator) -> float:
     disc = trace * trace - 4 * det
     lam_max = (float(trace) + math.sqrt(float(disc))) / 2.0
     return math.sqrt(lam_max)
+
+
+_REF_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _ref_reject_float(text: str) -> None:
+    raise BundleError(f"decimal literal {text!r} is not allowed; use an exact \"p/q\" string")
+
+
+class _RefObject(dict):
+    duplicate: str | None = None
+
+
+def _ref_object(pairs: list[tuple[str, object]]) -> _RefObject:
+    obj = _RefObject(pairs)
+    keys = [key for key, _ in pairs]
+    obj.duplicate = next((key for i, key in enumerate(keys) if key in keys[:i]), None)
+    return obj
+
+
+def _ref_reject_duplicate_keys(node: object, where: str) -> None:
+    if isinstance(node, _RefObject):
+        prefix = f"{where}." if where else ""
+        if node.duplicate is not None:
+            raise BundleError(f"{prefix}{node.duplicate}: duplicate key")
+        for key, value in node.items():
+            _ref_reject_duplicate_keys(value, prefix + key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _ref_reject_duplicate_keys(value, f"{where}[{i}]")
+
+
+def _ref_is_int(raw: object) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _ref_is_rational(raw: object) -> bool:
+    return _ref_is_int(raw) or (isinstance(raw, str) and _REF_RATIONAL.fullmatch(raw) is not None)
+
+
+def _ref_rational(raw: object, where: str) -> Fraction:
+    if not _ref_is_rational(raw):
+        raise BundleError(f"{where}: expected an integer or a \"p/q\" string, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise BundleError(f"{where}: expected a rational p/q with q != 0, got {raw!r}") from None
+
+
+@unlimited_int_digits
+def ref_parse_bundle(text: str) -> OperatorBundle:
+    try:
+        doc = json.loads(text, parse_float=_ref_reject_float, object_pairs_hook=_ref_object)
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"not valid JSON: {exc}") from None
+    _ref_reject_duplicate_keys(doc, "")
+    if not isinstance(doc, dict):
+        raise BundleError("top level: expected an object")
+
+    space_doc = doc.get("space")
+    if not isinstance(space_doc, dict) or "weights" not in space_doc:
+        raise BundleError("space.weights: missing")
+    weights_raw = space_doc["weights"]
+    if not isinstance(weights_raw, list) or not weights_raw:
+        raise BundleError("space.weights: expected a non-empty list")
+    weights = tuple(_ref_rational(w, f"space.weights[{i}]") for i, w in enumerate(weights_raw))
+    try:
+        space = MeasureSpace(weights)
+    except ValueError as exc:
+        raise BundleError(f"space.weights: {exc}") from None
+
+    operators_doc = doc.get("operators", {})
+    if not isinstance(operators_doc, dict):
+        raise BundleError("operators: expected an object")
+    operators = {}
+    for name, op_doc in operators_doc.items():
+        where = f"operators.{name}"
+        if not isinstance(op_doc, dict) or "rows" not in op_doc:
+            raise BundleError(f"{where}.rows: missing")
+        rows_raw = op_doc["rows"]
+        if not isinstance(rows_raw, list) or len(rows_raw) != space.n:
+            raise BundleError(f"{where}.rows: expected {space.n} rows")
+        rows = []
+        for i, row_raw in enumerate(rows_raw):
+            if not isinstance(row_raw, list) or len(row_raw) != space.n:
+                raise BundleError(f"{where}.rows[{i}]: expected {space.n} entries")
+            rows.append(tuple(_ref_rational(q, f"{where}.rows[{i}][{j}]") for j, q in enumerate(row_raw)))
+        operators[name] = MatrixOperator(space, tuple(rows))
+
+    roles_doc = doc.get("roles", {})
+    if not isinstance(roles_doc, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in roles_doc.items()
+    ):
+        raise BundleError("roles: expected an object of strings")
+    for role, name in roles_doc.items():
+        if name not in operators:
+            raise BundleError(f"roles.{role}: names unknown operator {name!r}")
+
+    params_doc = doc.get("params", {})
+    if not isinstance(params_doc, dict):
+        raise BundleError("params: expected an object")
+    for key, value in params_doc.items():
+        if _ref_is_rational(value):
+            _ref_rational(value, f"params.{key}")
+            continue
+        if isinstance(value, list) and all(_ref_is_int(v) for v in value):
+            continue
+        raise BundleError(f"params.{key}: expected an integer, rational string, or integer list")
+
+    return OperatorBundle(space=space, operators=operators, roles=dict(roles_doc), params=dict(params_doc))

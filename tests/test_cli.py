@@ -1,6 +1,8 @@
 """Bundle round trips, report rendering, exit codes, and CSV traces."""
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -38,7 +40,7 @@ from dominion.cli import build_parser, main
 from dominion.sweeps import meet_bound_instance
 from dominion.theorems import INTERNAL_INCONSISTENCY_NOTE, check_damped_powers, find_epsilon_certificate
 
-from conftest import noncommuting_t_pairs, ref_decimal_str
+from conftest import noncommuting_t_pairs, ref_decimal_str, ref_parse_bundle
 
 
 @pytest.fixture
@@ -137,6 +139,9 @@ class TestBundleRoundTrip:
         assert emit_bundle(bundle) == emit_bundle(bundle)
 
 
+LOOSE_RATIONAL_STRINGS = ["0.5", " 1/2 ", "1/2 ", "1e3", "1_000", "+1", "1/-2", "1 / 2", "1/2/3", "", "٣"]
+
+
 class TestBundleValidation:
     def test_rejects_decimal_literals(self):
         with pytest.raises(BundleError, match="decimal"):
@@ -171,7 +176,7 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match=r"rows\[0\]\[1\]"):
             parse_bundle(json.dumps(doc))
 
-    @pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1/2 ", "1e3", "1_000", "+1", "1/-2", "1 / 2", "1/2/3", "", "٣"])
+    @pytest.mark.parametrize("text", LOOSE_RATIONAL_STRINGS)
     def test_rejects_loose_rational_strings(self, text):
         doc = {
             "space": {"weights": ["1/1", "1/1"]},
@@ -258,6 +263,237 @@ class TestBundleValidation:
 def _t_bundle(**fields) -> str:
     """A 1-point bundle with the operator T, its top-level fields replaced by ``fields``."""
     return json.dumps({"space": {"weights": ["1"]}, "operators": {"T": {"rows": [["1/2"]]}}, **fields})
+
+
+HUGE_DIGITS = "7" * 4400  # past CPython's default 4,300-digit int-string limit
+
+
+class _Raw(str):
+    """A JSON token written verbatim: a float, or an integer too long for ``json.dumps``."""
+
+
+class _Obj(list):
+    """A JSON object as ``(key, value)`` pairs, so that a key may repeat."""
+
+
+def _dump(node: object) -> str:
+    if isinstance(node, _Raw):
+        return str(node)
+    if isinstance(node, _Obj):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dump(value)}" for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dump, node)) + "]"
+    return json.dumps(node)
+
+
+def _rarely(common, rare):
+    """``common``, or one time in twenty ``rare``."""
+    return st.integers(0, 19).flatmap(lambda k: rare if k == 0 else common)
+
+
+_positive_rationals = _rarely(
+    st.one_of(
+        st.from_regex(r"0{0,2}[1-9][0-9]{0,3}(/0{0,2}[1-9][0-9]{0,2})?", fullmatch=True),
+        st.integers(1, 10**6),
+    ),
+    st.sampled_from([f"{HUGE_DIGITS}/3", _Raw(HUGE_DIGITS)]),
+)
+_rationals = _rarely(
+    st.one_of(
+        _positive_rationals,
+        st.from_regex(r"-?[0-9]{1,4}(/0{0,2}[1-9][0-9]{0,2})?", fullmatch=True),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from(["-0", _Raw("-0")]),
+    ),
+    st.sampled_from([f"-{HUGE_DIGITS}/1000", _Raw("-" + HUGE_DIGITS)]),
+)
+_zeros = st.sampled_from(["0", "-0", "0/7", "000/01", 0, _Raw("-0")])
+_malformed = st.one_of(
+    st.sampled_from(LOOSE_RATIONAL_STRINGS),
+    st.from_regex(r"-?[0-9]{1,3}/0{1,3}", fullmatch=True),
+    st.booleans(),
+    st.sampled_from([None, [], _Obj(), "x"]),
+)
+_floats = st.sampled_from([_Raw("0.5"), _Raw("1e3"), _Raw("-0.0")])
+
+
+@st.composite
+def bundle_texts(draw, loose: bool):
+    """Bundle texts on 1 to 3 points with operators S, T and Z, roles and
+    params. Every value is well formed unless ``loose``; then up to three
+    of the places where a fault fits, numbered in the order they are built,
+    get one: a malformed value or float literal, a row or list one too long
+    or too short, or a repeated key, at any depth."""
+    hits = draw(st.sets(st.integers(0, 50), min_size=1, max_size=3)) if loose else set()
+    places = itertools.count()
+
+    def odd() -> bool:
+        return next(places) in hits
+
+    def value(good):
+        return draw(st.one_of(_malformed, _floats) if odd() else good)
+
+    def obj(pairs: list) -> _Obj:
+        if pairs and odd():
+            key = draw(st.sampled_from([key for key, _ in pairs]))
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, value(_rationals)))
+        return _Obj(pairs)
+
+    def length() -> int:
+        return n + (draw(st.sampled_from([-1, 1])) if odd() else 0)
+
+    def row(good):
+        return [value(good) for _ in range(length())]
+
+    def target():
+        return value(st.just("W")) if odd() else draw(st.sampled_from(names))
+
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from("STZ"), unique=True))
+    operators = []
+    for name in names:
+        entries = _zeros if draw(st.integers(0, 3)) == 0 else _rationals
+        rows = [row(entries) for _ in range(length())]
+        operators.append((name, obj([("rows", rows)])))
+    roles = [(role, target()) for role in draw(st.lists(
+        st.sampled_from(["S", "T", "Z", "S1"]), unique=True, max_size=4 if names else 0
+    ))]
+    params = []
+    if draw(st.booleans()):
+        params.append(("m", value(st.integers(0, 3))))
+    if draw(st.booleans()):
+        params.append(("epsilon", value(_rationals)))
+    if draw(st.booleans()):
+        params.append(("n0", [value(st.integers(1, 5)) for _ in range(draw(st.integers(0, 2)))]))
+    top = [
+        ("space", obj([("weights", row(_positive_rationals))])),
+        ("operators", obj(operators)),
+        ("roles", obj(roles)),
+        ("params", obj(params)),
+    ]
+    return _dump(obj(draw(st.permutations(top))))
+
+
+def _parse_outcome(parse, text: str):
+    """The bundle ``parse`` makes of ``text``, or its ``BundleError`` message."""
+    try:
+        return parse(text)
+    except BundleError as exc:
+        return f"BundleError: {exc}"
+
+
+@contextlib.contextmanager
+def default_digit_limit():
+    """Run the body at CPython's default int-string digit limit, and check
+    that it leaves that limit as it found it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def assert_parses_like_reference(text: str) -> OperatorBundle | None:
+    """At the default digit limit, ``parse_bundle(text)`` equals the
+    ``Fraction`` reference parse field for field, operator order included,
+    or raises its exact message."""
+    with default_digit_limit():
+        got, want = _parse_outcome(parse_bundle, text), _parse_outcome(ref_parse_bundle, text)
+    if isinstance(want, str):
+        assert got == want
+        return None
+    assert isinstance(got, OperatorBundle)
+    assert got.space.weights == want.space.weights
+    assert [(name, op.num, op.den) for name, op in got.operators.items()] == [
+        (name, op.num, op.den) for name, op in want.operators.items()
+    ]
+    assert (got.roles, got.params) == (want.roles, want.params)
+    assert got == want
+    return got
+
+
+# Texts that the generated ones may miss, by name: each loose string in
+# every position, zero denominators, booleans and floats, a duplicate key at
+# every depth, and entries past the default digit limit.
+LISTED_TEXTS = {
+    **{f"entry-loose-{i}": _t_bundle(operators={"T": {"rows": [[text]]}})
+       for i, text in enumerate(LOOSE_RATIONAL_STRINGS)},
+    **{f"param-loose-{i}": _t_bundle(params={"epsilon": text}) for i, text in enumerate(LOOSE_RATIONAL_STRINGS)},
+    **{f"weight-loose-{i}": json.dumps({"space": {"weights": ["1", text]}})
+       for i, text in enumerate(LOOSE_RATIONAL_STRINGS)},
+    "entry-zero-denominator": _t_bundle(operators={"T": {"rows": [["1/00"]]}}),
+    "param-zero-denominator": _t_bundle(params={"epsilon": "-3/000"}),
+    "weight-zero-denominator-first": '{"space": {"weights": ["1/0", "x"]}}',
+    "entry-before-short-row": '{"space": {"weights": ["1", "1"]}, "operators": {"T": {"rows": [["x", "1"], ["1"]]}}}',
+    "zero-denominator-before-boolean":
+        '{"space": {"weights": ["1", "1"]}, "operators": {"T": {"rows": [["1", "1"], ["1/0", true]]}}}',
+    "weight-boolean": '{"space": {"weights": [true]}}',
+    "entry-boolean": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [[false]]}}}',
+    "param-boolean": '{"space": {"weights": ["1"]}, "params": {"n0": true}}',
+    "param-list-boolean": '{"space": {"weights": ["1"]}, "params": {"n0": [1, true]}}',
+    "entry-float": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [[0.5]]}}}',
+    "json-minus-zero": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [[-0]]}}}',
+    "duplicate-top": '{"space": {"weights": ["1", "1"]}, "space": {"weights": ["1/2"]}}',
+    "duplicate-space": '{"space": {"weights": ["1"], "weights": ["1/2"]}}',
+    "duplicate-operators": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [["1/2"]]}, "T": {"rows": [["1/3"]]}}}',
+    "duplicate-operator": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [["1/2"]], "rows": [["1/3"]]}}}',
+    "duplicate-in-entry": '{"space": {"weights": ["1"]}, "operators": {"T": {"rows": [[{"a": 1, "a": 2}]]}}}',
+    "duplicate-roles": '{"space": {"weights": ["1"]}, "roles": {"T": "T", "T": "S"}}',
+    "duplicate-params": '{"space": {"weights": ["1"]}, "params": {"k": 1, "k": 2}}',
+    "duplicate-in-param": '{"space": {"weights": ["1"]}, "params": {"k": {"a": 1, "a": 2}}, "params": {}}',
+    "duplicate-before-float": '{"space": {"weights": ["1"]}, "params": {"k": 1, "k": 2}, "x": 0.5}',
+    "duplicate-before-truncation": '{"space": {"weights": ["1"]}, "params": {"k": 1, "k": 2}, "x": ',
+    "huge-unreduced": _t_bundle(operators={"T": {"rows": [[f"{HUGE_DIGITS}/{HUGE_DIGITS}0"]]}}),
+    "huge-json-integers":
+        '{"space": {"weights": [%s]}, "operators": {"T": {"rows": [["-%s/1"]]}}, "params": {"m": %s}}'
+        % (HUGE_DIGITS, HUGE_DIGITS, HUGE_DIGITS),
+    "leading-zeros-and-minus-zero":
+        '{"space": {"weights": ["007/010", "2"]}, "operators": {"T": {"rows": [["-0", "10/4"], [0, "-00/9"]]}}}',
+    "all-zero-operator": '{"space": {"weights": ["1", "2"]}, "operators": {"Z": {"rows": [["0", "-0"], [0, "0/5"]]}}}',
+}
+
+# Bundles whose operators must come straight from integer pairs: the
+# benchmark's meet-bound bundles and the listed valid texts.
+BUILT_FROM_PAIRS = {
+    **{f"meet-bound-{seed}": emit_bundle(bundle_for_damped(z, t, {"m": m, "k": k}))
+       for seed in range(6) for z, t, m, k in [meet_bound_instance(seed, 3, denom_cap=64)]},
+    **{name: LISTED_TEXTS[name] for name in
+       ["huge-unreduced", "huge-json-integers", "leading-zeros-and-minus-zero", "all-zero-operator"]},
+}
+
+
+class TestParseMatchesReference:
+    """``parse_bundle`` builds each operator from integer pairs; the
+    ``Fraction`` reference parse is the behaviour it keeps."""
+
+    @settings(max_examples=150)
+    @given(bundle_texts(loose=False))
+    def test_well_formed_bundles(self, text):
+        assert assert_parses_like_reference(text) is not None
+
+    @settings(max_examples=300)
+    @given(bundle_texts(loose=True))
+    def test_malformed_bundles(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("name", LISTED_TEXTS)
+    def test_listed_texts(self, name):
+        assert_parses_like_reference(LISTED_TEXTS[name])
+
+    @pytest.mark.parametrize("name", BUILT_FROM_PAIRS)
+    def test_operators_are_built_without_fraction_rows(self, name):
+        text = BUILT_FROM_PAIRS[name]
+        with default_digit_limit():
+            bundle, ref = parse_bundle(text), ref_parse_bundle(text)
+        assert bundle.operators
+        assert all(op._entries is None for op in bundle.operators.values())
+        for op_name, op in bundle.operators.items():
+            assert op == MatrixOperator(ref.space, ref.operators[op_name].entries)
 
 
 # Each bundle error: the bundle text, the command that reads it and the exact
@@ -767,6 +1003,14 @@ class TestCertifyCommand:
         assert captured.err.startswith("error: --epsilon: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("raw", ["1e-3", "0.5", " 1/2 ", "1_000", "٣"])
+    @pytest.mark.parametrize("argv", [["certify", "{bundle}", "--epsilon"], ["example", "1", "--u"],
+                                      ["example", "1", "--v"], ["example", "1", "--lambda"]])
+    def test_rational_flags_follow_the_bundle_grammar(self, averaging_bundle_path, capsys, argv, raw):
+        argv = [arg.format(bundle=averaging_bundle_path) for arg in argv]
+        assert main([*argv, raw]) == 3
+        assert capsys.readouterr() == ("", f"error: {argv[-1]}: expected a rational p/q with q != 0, got {raw!r}\n")
+
     def test_exhaustion_exit(self, averaging_bundle_path, capsys):
         code = main([
             "certify", averaging_bundle_path,
@@ -820,6 +1064,11 @@ class TestLibraryPastTheIntDigitLimit:
         text = emit_bundle(bundle)
         assert rational_str(high.entries[3][2]) in text
         assert parse_bundle(text) == bundle
+
+    def test_param_rational_of_a_long_epsilon(self, default_limit):
+        epsilon = Fraction(-1, 3**9100)
+        bundle = parse_bundle(_t_bundle(params={"epsilon": f"-1/{_lifted_str(epsilon.denominator)}"}))
+        assert bundle.param_rational("epsilon") == epsilon
 
     def test_certificate_command_with_a_long_epsilon(self, t):
         epsilon = Fraction(1, 3**9100)

@@ -183,6 +183,21 @@ class TestRandomCommutingFamily:
         family = random_commuting_family(2, 2, 3, degree=0)
         assert family.size == 2
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_powers_of_the_base_take_degree_minus_one_products(self, monkeypatch, degree):
+        compose, products = MatrixOperator.compose, []
+
+        def counted(self, other):
+            products.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(MatrixOperator, "compose", counted)
+        family = random_commuting_family(7, 2, 3, degree=degree)
+        assert len(products) == max(degree - 1, 0)
+        weights, pairs = ref_random_commuting_family(7, 2, 3, degree, 64)
+        assert tuple((p.s.entries, p.t.entries) for p in family.pairs) == pairs
+        assert family.pairs[0].s.space.weights == weights
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             random_commuting_family(0, 0, 3)
